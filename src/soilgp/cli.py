@@ -12,10 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import Rect
-from .gp import NumericFailure, fit, predict_arrays
+from .gp import NumericFailure, correlation_matrix, fit, predict_arrays
 from .io import (
     RunConfig,
     dataset_digest,
@@ -230,11 +228,9 @@ def _cmd_correlations(args):
         raise _UsageError("correlations needs exactly one of --model or --obs")
     if args.model:
         record = read_model(args.model)
-        n = record.n_tasks
-        n_tri = n * (n + 1) // 2
-        Kc = task_cov(TaskCholesky(n, record.theta[:n_tri]))
-        d = np.sqrt(np.diag(Kc))
-        write_correlation_matrix(args.out, record.labels, Kc / np.outer(d, d))
+        n_tri = record.n_tasks * (record.n_tasks + 1) // 2
+        Kc = task_cov(TaskCholesky(record.n_tasks, record.theta[:n_tri]))
+        write_correlation_matrix(args.out, record.labels, correlation_matrix(Kc))
     else:
         cfg = _resolve_config(args)
         dataset = parse_observations(args.obs)

@@ -24,7 +24,6 @@ __all__ = [
     "NormStats",
     "make_dataset",
     "normalize",
-    "denormalize_values",
     "prefix",
 ]
 
@@ -213,9 +212,6 @@ class NormStats:
     def denormalize_values(self, task, values):
         return np.asarray(values) * self.stds[task] + self.means[task]
 
-    def denormalize_variance(self, task, variances):
-        return np.asarray(variances) * self.stds[task] ** 2
-
 
 def normalize(dataset: Dataset) -> tuple[Dataset, NormStats]:
     """Z-score values per task using the population standard deviation."""
@@ -235,12 +231,6 @@ def normalize(dataset: Dataset) -> tuple[Dataset, NormStats]:
     stats = NormStats(means, stds)
     normed = (v - means[t]) / stds[t]
     return dataset.replace_values(normed), stats
-
-
-def denormalize_values(dataset: Dataset, stats: NormStats) -> Dataset:
-    """Inverse of :func:`normalize` for a dataset in normalized units."""
-    raw = dataset.values * stats.stds[dataset.task_index] + stats.means[dataset.task_index]
-    return dataset.replace_values(raw)
 
 
 def prefix(dataset: Dataset, k: int) -> Dataset:

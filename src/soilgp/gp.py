@@ -26,12 +26,11 @@ from .kernels import (
     NOISE_FLOOR,
     KernelMode,
     NumericFailure,
+    TrainingKernel,
     assemble_training_cov,
     chol_with_jitter,
     cross_matern32,
-    cross_matern32_dli,
     matern32,
-    matern32_dl,
     pack_theta,
     theta_dim,
     unpack_theta,
@@ -49,6 +48,7 @@ __all__ = [
     "condition",
     "predict",
     "task_correlations",
+    "correlation_matrix",
     "fit_stgp",
     "sample_prior",
     "theta_from_moments",
@@ -106,7 +106,6 @@ class FitConfig:
     tol: float = 1e-6
     seed: int = 0
     mode: KernelMode = KernelMode.CONVOLVED
-    gradient: GradientMethod = GradientMethod.ANALYTIC
     noise_floor: float = NOISE_FLOOR
 
     def __post_init__(self):
@@ -161,12 +160,18 @@ class _Problem:
     """Per-dataset quantities reused across optimizer iterations."""
 
     def __init__(self, dataset: Dataset):
-        self.n_tasks = dataset.n_tasks
-        self.tasks = dataset.task_index
+        self.n_tasks = n = dataset.n_tasks
+        self.tasks = t = dataset.task_index
         self.xy = dataset.xy
         self.y = dataset.values
+        # checked once here, so the per-evaluation solves can skip it
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("observation values must be finite")
         self.r = cdist(self.xy, self.xy)
         self.m = len(self.y)
+        # task-pair code t_p·n + t_q of every entry, in the narrowest
+        # unsigned type (one byte per entry for up to 16 tasks)
+        self.pair = (t[:, None] * n + t[None, :]).astype(np.min_scalar_type(n * n - 1))
 
 
 # Magnitude bound on packed entries: keeps exp() and the Kc = L Lᵀ
@@ -179,45 +184,39 @@ def _covariance(prob: _Problem, theta_vec, mode, noise_floor):
     if not np.all(np.isfinite(theta_vec)) or np.max(np.abs(theta_vec)) > _THETA_CAP:
         raise NumericFailure("hyperparameter vector out of numeric range")
     L, ls, noise = unpack_theta(theta_vec, prob.n_tasks, mode, noise_floor)
-    Kc = L @ L.T
-    t = prob.tasks
-    if mode is KernelMode.ICM:
-        S = matern32(prob.r, ls[0])
-    else:
-        S = cross_matern32(prob.r, ls[t][:, None], ls[t][None, :])
-    K = Kc[np.ix_(t, t)] * S
-    K[np.diag_indices_from(K)] += noise[t]
-    return K, S, L, Kc, ls, noise
+    Kce = np.take(L @ L.T, prob.pair)  # Kc[t_p, t_q] for every entry
+    spatial = TrainingKernel(prob.r, prob.tasks, prob.pair, ls, mode)
+    K = Kce * spatial.value
+    K[np.diag_indices_from(K)] += noise[prob.tasks]
+    return K, (spatial, L, Kce, ls)
 
 
 def _lml_core(prob: _Problem, theta_vec, mode, noise_floor):
     """Returns (lml, chol, jitter, alpha, parts) or (REJECTED, None, ...)."""
     try:
-        K, S, L, Kc, ls, noise = _covariance(prob, theta_vec, mode, noise_floor)
+        K, parts = _covariance(prob, theta_vec, mode, noise_floor)
         Lf, jitter = chol_with_jitter(K, JITTER_LADDER)
     except NumericFailure:
         return REJECTED, None, 0.0, None, None
-    alpha = cho_solve((Lf, True), prob.y)
+    alpha = cho_solve((Lf, True), prob.y, check_finite=False)
     lml = (
         -0.5 * prob.y @ alpha
         - np.log(np.diag(Lf)).sum()
         - 0.5 * prob.m * LOG_2PI
     )
-    return lml, Lf, jitter, alpha, (S, L, Kc, ls, noise)
+    return lml, Lf, jitter, alpha, parts
 
 
 def _analytic_gradient(prob: _Problem, mode, Lf, alpha, parts, theta_vec, noise_floor):
-    S, L, Kc, ls, noise = parts
+    spatial, L, Kce, ls = parts
     n = prob.n_tasks
     t = prob.tasks
-    m = prob.m
-    Kinv = cho_solve((Lf, True), np.eye(m))
-    W = np.outer(alpha, alpha) - Kinv
+    W = np.outer(alpha, alpha)
+    W -= cho_solve((Lf, True), np.eye(prob.m), check_finite=False)  # K⁻¹
 
     # Task factor: dK/dL_ab = (δ_ia L_jb + δ_ja L_ib) S  →  grad = (A L)_ab
-    WS = W * S
     A = np.bincount(
-        (t[:, None] * n + t[None, :]).ravel(), weights=WS.ravel(), minlength=n * n
+        prob.pair.ravel(), weights=(W * spatial.value).ravel(), minlength=n * n
     ).reshape(n, n)
     GL = A @ L
     g_chol = []
@@ -228,14 +227,13 @@ def _analytic_gradient(prob: _Problem, mode, Lf, alpha, parts, theta_vec, noise_
                 g *= L[a, a]  # chain through the log-diagonal
             g_chol.append(g)
 
-    # Length-scales
-    Kce = Kc[np.ix_(t, t)]
+    # Length-scales (ICM: dS/dl; CONVOLVED: ∂S/∂l of each entry's row task)
+    WdS = W * Kce
+    WdS *= spatial.dl()
     if mode is KernelMode.ICM:
-        dS = matern32_dl(prob.r, ls[0])
-        g_ls = np.array([0.5 * np.sum(W * Kce * dS) * ls[0]])
+        g_ls = np.array([0.5 * np.sum(WdS) * ls[0]])
     else:
-        DU = cross_matern32_dli(prob.r, ls[t][:, None], ls[t][None, :])
-        row = np.sum(W * Kce * DU, axis=1)
+        row = np.sum(WdS, axis=1)
         g_ls = np.bincount(t, weights=row, minlength=n) * ls
 
     # Noise variances (zero below the floor, where the value is clamped)
@@ -317,16 +315,12 @@ def _data_extent(dataset: Dataset) -> float:
 
 def _optimize(prob: _Problem, config: FitConfig, x0: np.ndarray):
     mode, floor = config.mode, config.noise_floor
-    use_fd = config.gradient is GradientMethod.FINITE_DIFFERENCE
 
     def objective(x):
         lml, Lf, _, alpha, parts = _lml_core(prob, x, mode, floor)
         if lml == REJECTED:
             return np.inf, np.zeros_like(x)
-        if use_fd:
-            g = _fd_gradient(prob, x.copy(), mode, floor)
-        else:
-            g = _analytic_gradient(prob, mode, Lf, alpha, parts, x, floor)
+        g = _analytic_gradient(prob, mode, Lf, alpha, parts, x, floor)
         return -lml, -g
 
     res = minimize(
@@ -477,7 +471,11 @@ def predict_arrays(
 
 def task_correlations(model: FittedModel) -> np.ndarray:
     """Inter-task correlation matrix r_ij = Kc_ij / √(Kc_ii Kc_jj)."""
-    Kc = model.theta.task_cov()
+    return correlation_matrix(model.theta.task_cov())
+
+
+def correlation_matrix(Kc: np.ndarray) -> np.ndarray:
+    """Correlation matrix of a task covariance, with an exact-1 diagonal."""
     d = np.sqrt(np.diag(Kc))
     corr = Kc / np.outer(d, d)
     np.fill_diagonal(corr, 1.0)  # i = j is exactly 1 by definition

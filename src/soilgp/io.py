@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, Location, Observation, make_dataset
-from .gp import FitConfig, FittedModel, GradientMethod, HyperParams, condition
+from .gp import FitConfig, FittedModel, HyperParams, condition
 from .kernels import NOISE_FLOOR, KernelMode
 from .mapping import GroundTruth, GridSpec, PropertyMap, RmseCurves, CorrelationTrajectory
 from .mission import FieldBoundary, SamplePlan
@@ -189,7 +189,6 @@ class RunConfig:
             tol=self.tol,
             seed=self.seed,
             mode=self.mode,
-            gradient=GradientMethod.ANALYTIC,
             noise_floor=self.noise_floor,
         )
 

@@ -35,6 +35,7 @@ __all__ = [
     "matern32_dl",
     "cross_matern32",
     "cross_matern32_dli",
+    "TrainingKernel",
     "TaskCholesky",
     "task_cov",
     "theta_dim",
@@ -86,14 +87,73 @@ def matern32(r, lengthscale):
     """Unit-amplitude Matérn 3/2 correlation, k(r) = (1 + √3 r/l) e^(−√3 r/l)."""
     l = _check_lengthscale(lengthscale)
     z = SQRT3 * np.asarray(r, dtype=float) / l
-    return (1.0 + z) * np.exp(-z)
+    return _matern32(z, np.exp(-z))
+
+
+# Some private formula helpers below overwrite arguments their callers
+# made for them (each docstring says which): at M ~ 100 a fresh M×M
+# buffer costs about as much as the arithmetic that fills it.
+
+
+def _matern32(z, e):
+    """Matérn 3/2 at z = √3 r/l, given e = e^(−z); overwrites an array z."""
+    z += 1.0
+    z *= e
+    return z
 
 
 def matern32_dl(r, lengthscale):
     """d matern32 / d lengthscale = 3 r² / l³ · e^(−√3 r/l)."""
     l = _check_lengthscale(lengthscale)
     r = np.asarray(r, dtype=float)
-    return 3.0 * r**2 / l**3 * np.exp(-SQRT3 * r / l)
+    return _matern32_dl(r, l, np.exp(-SQRT3 * r / l))
+
+
+def _matern32_dl(r, l, e):
+    """d matern32 / d l, given e = e^(−√3 r/l)."""
+    return 3.0 * r**2 / l**3 * e
+
+
+def _cross_pair(li, lj):
+    """Constants of the cross kernel that depend only on the length-scale
+    pair: the equal-length-scale switch, the closed form's denominator
+    l_i² − l_j² (1 on the switch) and its amplitude 2√(l_i l_j)/denom."""
+    near = np.abs(li - lj) <= _EQ_TOL * np.maximum(li, lj)
+    denom = np.where(near, 1.0, li**2 - lj**2)
+    amp = 2.0 * np.sqrt(li * lj) / denom
+    return near, denom, amp
+
+
+def _cross_pair_dli(li, lj, denom):
+    """Pair constants of ∂k/∂l_i: the coefficient of l_i e_i − l_j e_j in
+    the closed form's bracket, three times the switch's limit weight
+    (½ when l_i = l_j bitwise, 1 when l_i is the smaller, else 0) and
+    min(l_i, l_j)³."""
+    coef = 0.5 / li - 2.0 * li / denom
+    weight3 = np.where(li == lj, 0.5, np.where(li < lj, 1.0, 0.0)) * 3.0
+    return coef, weight3, np.minimum(li, lj) ** 3
+
+
+def _cross(near, amp, diff, m_min):
+    """k = amp · (l_i e_i − l_j e_j) off the switch, and on it the Matérn
+    at min(l_i, l_j), ``m_min``."""
+    return np.where(near, m_min, amp * diff)
+
+
+def _cross_dli(near, amp, coef, weight3, lmin3, r, diff, m_i, e_min):
+    """∂k/∂l_i from the shared pieces: ``diff`` = l_i e_i − l_j e_j,
+    ``m_i`` the Matérn at l_i and ``e_min`` = e^(−√3 r/min(l_i, l_j)).
+    On the switch it differentiates the value computed there. Overwrites
+    the arrays ``coef`` and ``weight3``."""
+    exact = coef  # amp · (coef · diff + m_i)
+    exact *= diff
+    exact += m_i
+    exact *= amp
+    limit = weight3  # weight3 · r² / lmin3 · e_min
+    limit *= r**2
+    limit /= lmin3
+    limit *= e_min
+    return np.where(near, limit, exact)
 
 
 def cross_matern32(r, l_i, l_j):
@@ -113,13 +173,10 @@ def cross_matern32(r, l_i, l_j):
     lj = _check_lengthscale(l_j)
     r = np.asarray(r, dtype=float)
     li, lj, r = np.broadcast_arrays(li, lj, r)
-    near = np.abs(li - lj) <= _EQ_TOL * np.maximum(li, lj)
-    denom = np.where(near, 1.0, li**2 - lj**2)
-    amp = 2.0 * np.sqrt(li * lj) / denom
-    exact = amp * (li * np.exp(-SQRT3 * r / li) - lj * np.exp(-SQRT3 * r / lj))
+    near, _, amp = _cross_pair(li, lj)
+    diff = li * np.exp(-SQRT3 * r / li) - lj * np.exp(-SQRT3 * r / lj)
     zmin = SQRT3 * r / np.minimum(li, lj)
-    limit = (1.0 + zmin) * np.exp(-zmin)
-    out = np.where(near, limit, exact)
+    out = _cross(near, amp, diff, _matern32(zmin, np.exp(-zmin)))
     return out if out.ndim else float(out)
 
 
@@ -136,20 +193,75 @@ def cross_matern32_dli(r, l_i, l_j):
     lj = _check_lengthscale(l_j)
     r = np.asarray(r, dtype=float)
     li, lj, r = np.broadcast_arrays(li, lj, r)
-    near = np.abs(li - lj) <= _EQ_TOL * np.maximum(li, lj)
-    denom = np.where(near, 1.0, li**2 - lj**2)
-    amp = 2.0 * np.sqrt(li * lj) / denom
-    ei = np.exp(-SQRT3 * r / li)
-    ej = np.exp(-SQRT3 * r / lj)
-    bracket = (0.5 / li - 2.0 * li / denom) * (li * ei - lj * ej) + ei * (
-        1.0 + SQRT3 * r / li
+    near, denom, amp = _cross_pair(li, lj)
+    zi = SQRT3 * r / li
+    ei = np.exp(-zi)
+    diff = li * ei - lj * np.exp(-SQRT3 * r / lj)
+    e_min = np.exp(-SQRT3 * r / np.minimum(li, lj))
+    out = _cross_dli(
+        near, amp, *_cross_pair_dli(li, lj, denom), r, diff, _matern32(zi, ei), e_min
     )
-    exact = amp * bracket
-    lmin = np.minimum(li, lj)
-    weight = np.where(li == lj, 0.5, np.where(li < lj, 1.0, 0.0))
-    limit = weight * 3.0 * r**2 / lmin**3 * np.exp(-SQRT3 * r / lmin)
-    out = np.where(near, limit, exact)
     return out if out.ndim else float(out)
+
+
+class TrainingKernel:
+    """Spatial correlation of a training set with itself, evaluated once
+    per hyperparameter point together with what its length-scale
+    derivative reuses.
+
+    ``r`` is the set's distance matrix, which must be exactly symmetric
+    (as :func:`scipy.spatial.distance.cdist` of the set with itself is),
+    ``tasks`` its task index and ``pair`` the code ``tasks[p]·n + tasks[q]``
+    of every entry. On a symmetric ``r`` the row-length-scale exponential
+    e_i is the only one needed: e_j is its transpose, and the exponential
+    at min(l_i, l_j) picks between the two. ``value`` is bitwise equal to
+    :func:`matern32` (ICM) or :func:`cross_matern32` (CONVOLVED), and
+    :meth:`dl` to :func:`matern32_dl` or :func:`cross_matern32_dli`.
+    """
+
+    def __init__(self, r, tasks, pair, lengthscales, mode: KernelMode):
+        self.r, self.pair, self.mode = r, pair, mode
+        if mode is KernelMode.ICM:
+            # a 0-d array, as in matern32: l**3 of a scalar rounds differently
+            l_row = self.l = _check_lengthscale(lengthscales[0])
+        else:
+            ls = _check_lengthscale(lengthscales)
+            l_row = ls[tasks][:, None]
+        z = SQRT3 * r
+        z /= l_row
+        self.e = np.negative(z)
+        np.exp(self.e, out=self.e)  # e_i = e^(−√3 r/l_i)
+        if mode is KernelMode.ICM:
+            self.value = _matern32(z, self.e)
+            return
+
+        self.li, self.lj = ls[:, None], ls[None, :]
+        near, self.denom, amp = _cross_pair(self.li, self.lj)  # n×n
+        self.near, self.amp = np.take(near, pair), np.take(amp, pair)
+        # The switch takes min(l_i, l_j), which is l_i wherever l_i = l_j;
+        # only pairs inside the band with distinct length-scales need a
+        # per-entry pick between an array and its transpose.
+        self.le = l_row <= l_row.T if np.any(near & (self.li != self.lj)) else None
+        d = l_row * self.e
+        self.diff = d - d.T
+        self.m = _matern32(z, self.e)  # the Matérn at l_i
+        self.value = _cross(self.near, self.amp, self.diff, self._at_min(self.m))
+
+    def _at_min(self, a):
+        """``a``, given at l_i, on the switch entries at min(l_i, l_j)."""
+        return a if self.le is None else np.where(self.le, a, a.T)
+
+    def dl(self):
+        """ICM: d value / d l. CONVOLVED: ∂k/∂l_i, the derivative with
+        respect to the length-scale of each entry's row task."""
+        if self.mode is KernelMode.ICM:
+            return _matern32_dl(self.r, self.l, self.e)
+        constants = np.stack(_cross_pair_dli(self.li, self.lj, self.denom))  # 3×n×n
+        coef, weight3, lmin3 = np.take(constants.reshape(3, -1), self.pair, axis=1)
+        return _cross_dli(
+            self.near, self.amp, coef, weight3, lmin3, self.r, self.diff, self.m,
+            self._at_min(self.e),
+        )
 
 
 @dataclass(frozen=True)
@@ -347,7 +459,7 @@ def chol_with_jitter(
     for jitter in ladder:
         try:
             Kj = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
-            return cholesky(Kj, lower=True), jitter
+            return cholesky(Kj, lower=True, check_finite=False), jitter
         except np.linalg.LinAlgError:
             continue
     raise NumericFailure(

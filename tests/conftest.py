@@ -16,6 +16,10 @@ from soilgp.kernels import KernelMode, theta_dim
 
 SQRT3 = math.sqrt(3.0)
 
+# A length-scale at which l**3 rounds differently for a numpy scalar and
+# for a 0-d array (8114.030478136729 vs ...728).
+ULP_LENGTHSCALE = 20.094577448768796
+
 
 def matern32_scalar(r, l):
     z = SQRT3 * r / l

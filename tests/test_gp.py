@@ -4,7 +4,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 from scipy.stats import ttest_rel
 
-from conftest import dense_lml_oracle, fd_gradient_oracle, random_instance
+from conftest import ULP_LENGTHSCALE, dense_lml_oracle, fd_gradient_oracle, random_instance
 from soilgp.data import Location, Observation, make_dataset, normalize
 from soilgp.gp import (
     FitConfig,
@@ -21,7 +21,8 @@ from soilgp.gp import (
     task_correlations,
     theta_from_moments,
 )
-from soilgp.kernels import KernelMode, assemble_training_cov
+from soilgp import gp as gp_module
+from soilgp.kernels import KernelMode, assemble_training_cov, chol_with_jitter
 from soilgp.mapping import rmse
 from soilgp.synthetic import SyntheticField, draw_field
 
@@ -79,6 +80,24 @@ class TestGradient:
         )
         assert np.linalg.norm(analytic - oracle) <= 1e-4 * np.linalg.norm(oracle)
 
+    @pytest.mark.parametrize("gap", [0.0, 5e-5], ids=["tied", "in_band"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_fd_oracle_on_the_switch(self, seed, gap):
+        # The paper's generator gives pH and N the same length-scale, which
+        # puts their cross kernel on its equal-length-scale switch and its
+        # derivative on the 1/2, 1 and 0 limit weights. A log gap of 5e-5
+        # lies inside the 1e-4 band, and so do the oracle's 1e-5 steps.
+        ds, theta = random_instance(seed + 200, n_tasks=3, mode=KernelMode.CONVOLVED)
+        v = theta.values.copy()
+        v[7] = v[6] + gap  # log l_2 against log l_1 (after 6 task-factor entries)
+        theta = HyperParams(v, 3, KernelMode.CONVOLVED)
+        analytic = lml_gradient(theta, ds)
+        oracle = fd_gradient_oracle(
+            lambda u: log_marginal_likelihood(HyperParams(u, 3, KernelMode.CONVOLVED), ds),
+            v,
+        )
+        assert np.linalg.norm(analytic - oracle) <= 1e-4 * np.linalg.norm(oracle)
+
     def test_fd_mode_equals_oracle_by_construction(self):
         ds, theta = random_instance(55)
         ours = lml_gradient(theta, ds, GradientMethod.FINITE_DIFFERENCE)
@@ -94,6 +113,29 @@ class TestGradient:
         model = fit(small_dataset, FitConfig(restarts=3, seed=1, tol=1e-12))
         g = lml_gradient(model.theta, model.dataset)
         assert np.linalg.norm(g) <= 1e-3
+
+
+class TestObjectiveCovariance:
+    @pytest.mark.parametrize("ulp", [False, True], ids=["random", "ulp_lengthscale"])
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_factors_assemble_training_cov_bitwise(self, monkeypatch, mode, ulp):
+        ds, theta = random_instance(301, n_tasks=3, max_points=14, mode=mode)
+        if ulp:
+            v = theta.values.copy()
+            v[6 : 6 + (1 if mode is KernelMode.ICM else 3)] = np.log(ULP_LENGTHSCALE)
+            theta = HyperParams(v, 3, mode)
+        factored = []
+
+        def spy(K, *args):
+            factored.append(K.copy())
+            return chol_with_jitter(K, *args)
+
+        monkeypatch.setattr(gp_module, "chol_with_jitter", spy)
+        log_marginal_likelihood(theta, ds)
+        L, ls, noise = theta.unpack()
+        expected = assemble_training_cov(ds.task_index, ds.xy, L @ L.T, ls, noise, mode)
+        assert len(factored) == 1
+        assert np.array_equal(factored[0], expected)
 
 
 class TestFit:

@@ -3,17 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
 
-from conftest import naive_cov
+from conftest import ULP_LENGTHSCALE, naive_cov
 from soilgp.kernels import (
     KernelMode,
     NumericFailure,
     TaskCholesky,
+    TrainingKernel,
     assemble_cross_cov,
     assemble_training_cov,
     chol_with_jitter,
     cross_matern32,
+    cross_matern32_dli,
     matern32,
+    matern32_dl,
     pack_theta,
     task_cov,
     theta_dim,
@@ -274,6 +278,46 @@ class TestAssembleTrainingCov:
                 np.array([0, 1]), np.zeros((3, 2)), np.eye(2), [5.0, 5.0],
                 np.ones(2), KernelMode.CONVOLVED,
             )
+
+
+class TestTrainingKernel:
+    """The objective's one-pass kernel reproduces the public value and
+    derivative functions bit for bit, on and off the equal-length-scale
+    switch."""
+
+    CASES = {
+        "icm": (KernelMode.ICM, [23.0]),
+        "icm_ulp": (KernelMode.ICM, [ULP_LENGTHSCALE]),
+        "distinct": (KernelMode.CONVOLVED, [9.0, 23.0, 51.0]),
+        "tied": (KernelMode.CONVOLVED, [40.0, 40.0, 60.0]),
+        "in_band": (KernelMode.CONVOLVED, [40.0, 40.0 * (1 + 5e-5), 60.0]),
+        "ulp": (KernelMode.CONVOLVED,
+                [ULP_LENGTHSCALE, ULP_LENGTHSCALE * (1 + 5e-5), ULP_LENGTHSCALE]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_equal_to_public_kernels(self, case):
+        mode, ls = self.CASES[case]
+        ls = np.array(ls)
+        rng = np.random.default_rng(9)
+        tasks, xy = random_layout(rng, 40, 3)
+        r = cdist(xy, xy)
+        pair = tasks[:, None] * 3 + tasks[None, :]
+        k = TrainingKernel(r, tasks, pair, ls, mode)
+        if mode is KernelMode.ICM:
+            value, dl = matern32(r, ls[0]), matern32_dl(r, ls[0])
+        else:
+            li, lj = ls[tasks][:, None], ls[tasks][None, :]
+            value, dl = cross_matern32(r, li, lj), cross_matern32_dli(r, li, lj)
+        assert np.array_equal(k.value, value)
+        assert np.array_equal(k.dl(), dl)
+
+    def test_scalar_derivatives_are_floats(self):
+        assert isinstance(matern32_dl(5.0, 12.0), float)
+        assert isinstance(cross_matern32_dli(5.0, 12.0, 30.0), float)
+        assert cross_matern32_dli(5.0, 12.0, 12.0) == pytest.approx(
+            0.5 * matern32_dl(5.0, 12.0), rel=1e-15
+        )
 
 
 class TestAssembleCrossCov:
