@@ -24,6 +24,7 @@ from .gp import (
     lml_gradient,
     predict,
     predict_arrays,
+    predict_tasks,
     sample_prior,
     task_correlations,
     theta_from_moments,

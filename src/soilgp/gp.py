@@ -29,8 +29,7 @@ from .kernels import (
     TrainingKernel,
     assemble_training_cov,
     chol_with_jitter,
-    cross_matern32,
-    matern32,
+    cross_cov_table,
     pack_theta,
     theta_dim,
     unpack_theta,
@@ -47,6 +46,7 @@ __all__ = [
     "fit",
     "condition",
     "predict",
+    "predict_tasks",
     "task_correlations",
     "correlation_matrix",
     "fit_stgp",
@@ -431,42 +431,152 @@ def predict_arrays(
     denormalize: bool = False,
     include_noise: bool = False,
 ) -> PredictionResult:
-    """Array-based prediction core (used for grids)."""
+    """Posterior mean and variance at (task, location) rows, one row per
+    entry of ``q_tasks`` with its point in ``q_xy`` (Q×2). The rows of
+    each task go through the prediction core together, so a row pays
+    for its own task only."""
     n = model.n_tasks
     q_tasks = np.asarray(q_tasks, dtype=np.intp)
+    q_xy = np.asarray(q_xy, dtype=float)
+    if q_tasks.ndim != 1 or q_xy.shape != (q_tasks.size, 2):
+        raise ValueError(
+            f"queries need one (x, y) per task id: {q_tasks.shape} task ids, "
+            f"points of shape {q_xy.shape}"
+        )
     if q_tasks.size and (q_tasks.min() < 0 or q_tasks.max() >= n):
         raise ValueError(f"unknown task id in queries (model has {n} tasks)")
-    q_xy = np.asarray(q_xy, dtype=float)
 
+    mean = np.empty(q_tasks.size)
+    var = np.empty(q_tasks.size)
+    clamp = _Clamp()
+    for i in np.unique(q_tasks):
+        rows = np.flatnonzero(q_tasks == i)
+        m, v = _predict_blocks(
+            model, (i,), q_xy[rows], denormalize, include_noise, clamp
+        )
+        mean[rows], var[rows] = m[0], v[0]
+    clamp.log()
+    return PredictionResult(q_tasks, q_xy, mean, var, normalized=not denormalize)
+
+
+def predict_tasks(
+    model: FittedModel,
+    tasks,
+    xy: np.ndarray,
+    denormalize: bool = False,
+    include_noise: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance of every task in ``tasks`` at every
+    point of ``xy`` (P×2), as two len(tasks)×P arrays (used for grids)."""
+    n = model.n_tasks
+    tasks = tuple(int(i) for i in tasks)
+    if any(i < 0 or i >= n for i in tasks):
+        raise ValueError(f"unknown task id in queries (model has {n} tasks)")
+    xy = np.asarray(xy, dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"points must be (P, 2), got {xy.shape}")
+    clamp = _Clamp()
+    out = _predict_blocks(model, tasks, xy, denormalize, include_noise, clamp)
+    clamp.log()
+    return out
+
+
+# Byte budget for one prediction block's temporaries: the kernel tables,
+# the cross-covariance rows and their triangular solve. Points are taken
+# in blocks that fit it, so memory beyond the outputs does not grow with
+# the number of points.
+_BLOCK_BYTES = 4 << 20
+
+# OpenBLAS's gemv computes rows four at a time and the one to three rows
+# left at the end (of the matrix, or of a thread's share) in another
+# kernel, which rounds differently. Each block's row count is padded to a
+# multiple of this, so a row's mean does not depend on where blocks end.
+_ROW_ALIGN = 8
+
+
+def _aligned(rows):
+    return -(-rows // _ROW_ALIGN) * _ROW_ALIGN
+
+
+class _Clamp:
+    """Count of negative predictive variances clamped at zero, and the
+    largest clamped magnitude, over the blocks of one call."""
+
+    def __init__(self):
+        self.count, self.worst = 0, 0.0
+
+    def add(self, var):
+        neg = var < 0
+        if np.any(neg):
+            self.count += int(neg.sum())
+            self.worst = max(self.worst, float(-var[neg].min()))
+            var[neg] = 0.0
+
+    def log(self):
+        if self.count:
+            logger.debug(
+                "clamped %d negative predictive variances (max magnitude %.3e)",
+                self.count,
+                self.worst,
+            )
+
+
+def _predict_blocks(model, tasks, xy, denormalize, include_noise, clamp):
+    """The prediction core: mean and variance of each task in ``tasks``
+    at each point of ``xy``, two len(tasks)×P arrays.
+
+    Points are taken in blocks sized by ``_BLOCK_BYTES``. Per block, the
+    distances go to the training set's distinct locations once,
+    :func:`kernels.cross_cov_table` evaluates the kernel for every task
+    pair from one exponential per length-scale, and each observation's
+    (task, location) slot gathers the rows' cross-covariance K*, bitwise
+    :func:`kernels.assemble_cross_cov`. One gemv gives the means K* α and
+    one triangular solve v = L⁻¹K*ᵀ the variances Kc_ii − vᵀv.
+    """
     L_task, ls, noise = model.theta.unpack(model.noise_floor)
     Kc = L_task @ L_task.T
-    t = model.dataset.task_index
-    r = cdist(q_xy, model.dataset.xy)
-    if model.mode is KernelMode.ICM:
-        S = matern32(r, ls[0])
-    else:
-        S = cross_matern32(r, ls[q_tasks][:, None], ls[t][None, :])
-    Ks = Kc[np.ix_(q_tasks, t)] * S
+    ds = model.dataset
+    locs, loc = np.unique(ds.xy, axis=0, return_inverse=True)
+    u = len(locs)
+    slot = ds.task_index * u + loc.ravel()
+    n, m, k, p = model.n_tasks, len(slot), len(tasks), len(xy)
+    # per point: k rows of the table (n·U) and of K* (M), the distances
+    # and up to two tables over them per length-scale, one transient
+    per_point = 8 * (k * (m + n * u) + 2 * (n + 1) * u)
+    block = max(1, _BLOCK_BYTES // per_point)
+    table = np.empty((k, block, n * u))
+    Ks = np.zeros((_aligned(k * block), m))
 
-    mean = Ks @ model.alpha
-    v = solve_triangular(model.chol_factor, Ks.T, lower=True)
-    prior_var = Kc[q_tasks, q_tasks]
-    var = prior_var - np.einsum("ij,ij->j", v, v)
-    neg = var < 0
-    if np.any(neg):
-        logger.debug(
-            "clamped %d negative predictive variances (max magnitude %.3e)",
-            int(neg.sum()),
-            float(-var[neg].min()),
+    rows = list(tasks)
+    prior = Kc[rows, rows][:, None]
+    noise = noise[rows][:, None]
+    stds, means = model.stats.stds[rows][:, None], model.stats.means[rows][:, None]
+    mean = np.empty((k, p))
+    var = np.empty((k, p))
+    for s in range(0, p, block):
+        e = min(s + block, p)
+        b = e - s
+        if not np.all(np.isfinite(xy[s:e])):
+            raise ValueError("query coordinates must be finite")
+        r = cdist(xy[s:e], locs)
+        tab = cross_cov_table(r, rows, Kc, ls, model.mode, table[:, :b])
+        q = _aligned(k * b)
+        np.take(tab, slot, axis=2, out=Ks[: k * b].reshape(k, b, m), mode="clip")
+        mu = (Ks[:q] @ model.alpha)[: k * b].reshape(k, b)
+        v = solve_triangular(
+            model.chol_factor, Ks[:q].T, lower=True, overwrite_b=True,
+            check_finite=False,
         )
-        var = np.where(neg, 0.0, var)
-    if include_noise:
-        var = var + noise[q_tasks]
-
-    if denormalize:
-        mean = mean * model.stats.stds[q_tasks] + model.stats.means[q_tasks]
-        var = var * model.stats.stds[q_tasks] ** 2
-    return PredictionResult(q_tasks, q_xy, mean, var, normalized=not denormalize)
+        vv = prior - np.einsum("ij,ij->j", v, v)[: k * b].reshape(k, b)
+        clamp.add(vv)
+        if include_noise:
+            vv = vv + noise
+        if denormalize:
+            mu = mu * stds + means
+            vv = vv * stds**2
+        mean[:, s:e] = mu
+        var[:, s:e] = vv
+    return mean, var
 
 
 def task_correlations(model: FittedModel) -> np.ndarray:

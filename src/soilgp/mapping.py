@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset, Rect, TaskId, prefix
-from .gp import FitConfig, FittedModel, fit, fit_stgp, predict_arrays, task_correlations
+from .gp import FitConfig, FittedModel, fit, fit_stgp, predict_tasks, task_correlations
 
 __all__ = [
     "GridSpec",
@@ -141,27 +141,21 @@ def predict_map(
     include_noise: bool = False,
 ) -> list[PropertyMap]:
     """One mean/variance surface per task, evaluated at every cell center."""
-    centers = grid.cell_centers
-    n_cells = grid.n_cells
-    maps = []
-    for i in range(model.n_tasks):
-        res = predict_arrays(
-            model,
-            np.full(n_cells, i, dtype=np.intp),
-            centers,
-            denormalize=denormalize,
-            include_noise=include_noise,
+    tasks = range(model.n_tasks)
+    mean, var = predict_tasks(
+        model, tasks, grid.cell_centers, denormalize=denormalize,
+        include_noise=include_noise,
+    )
+    return [
+        PropertyMap(
+            task=TaskId(i, model.dataset.labels[i]),
+            grid=grid,
+            mean=mean[i],
+            variance=var[i],
+            normalized=not denormalize,
         )
-        maps.append(
-            PropertyMap(
-                task=TaskId(i, model.dataset.labels[i]),
-                grid=grid,
-                mean=res.mean,
-                variance=res.variance,
-                normalized=res.normalized,
-            )
-        )
-    return maps
+        for i in tasks
+    ]
 
 
 def rmse(predicted, truth) -> float:
@@ -183,19 +177,11 @@ def _truth_scales(truth: GroundTruth) -> np.ndarray:
 
 def _predict_all_tasks(models, n_tasks, xy) -> np.ndarray:
     """(n_tasks, G) raw-unit predictions from one MTGP or a list of STGPs."""
-    g = xy.shape[0]
-    out = np.empty((n_tasks, g))
     if isinstance(models, list):  # one single-task model per task
-        for i, m in enumerate(models):
-            out[i] = predict_arrays(
-                m, np.zeros(g, dtype=np.intp), xy, denormalize=True
-            ).mean
-    else:
-        for i in range(n_tasks):
-            out[i] = predict_arrays(
-                models, np.full(g, i, dtype=np.intp), xy, denormalize=True
-            ).mean
-    return out
+        return np.vstack(
+            [predict_tasks(m, (0,), xy, denormalize=True)[0] for m in models]
+        )
+    return predict_tasks(models, range(n_tasks), xy, denormalize=True)[0]
 
 
 def sequential_eval(

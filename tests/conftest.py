@@ -9,10 +9,11 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from soilgp.data import Location, Observation, make_dataset
 from soilgp.gp import HyperParams
-from soilgp.kernels import KernelMode, theta_dim
+from soilgp.kernels import KernelMode, assemble_cross_cov, theta_dim
 
 SQRT3 = math.sqrt(3.0)
 
@@ -77,6 +78,26 @@ def fd_gradient_oracle(lml_fn, theta_values, h=1e-5):
         fm = lml_fn(tp)
         g[i] = (fp - fm) / (2 * h)
     return g
+
+
+def reference_prediction(model, tasks, xy):
+    """Normalized posterior mean and clamped variance of (task, point)
+    rows from :func:`assemble_cross_cov` and one solve over all rows."""
+    L_task, ls, _ = model.theta.unpack(model.noise_floor)
+    Kc = L_task @ L_task.T
+    ds = model.dataset
+    Ks = assemble_cross_cov(tasks, xy, ds.task_index, ds.xy, Kc, ls, model.mode)
+    # OpenBLAS's gemv computes rows four at a time and the one to three
+    # rows left at the end (of the matrix, or of a thread's share) in
+    # another kernel, which rounds differently. Padded to a multiple of
+    # eight rows, as the library pads its blocks, every row goes through
+    # the same kernel on both sides.
+    q = len(Ks)
+    Ks = np.vstack([Ks, np.zeros((-q % 8, Ks.shape[1]))])
+    mean = (Ks @ model.alpha)[:q]
+    v = solve_triangular(model.chol_factor, Ks.T, lower=True)
+    var = Kc[tasks, tasks] - np.einsum("ij,ij->j", v, v)[:q]
+    return mean, np.where(var < 0, 0.0, var)
 
 
 def random_instance(seed, n_tasks=None, max_points=8, mode=None, noise_lo=1e-3):

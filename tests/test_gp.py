@@ -4,8 +4,16 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 from scipy.stats import ttest_rel
 
-from conftest import ULP_LENGTHSCALE, dense_lml_oracle, fd_gradient_oracle, random_instance
-from soilgp.data import Location, Observation, make_dataset, normalize
+from scipy.spatial.distance import cdist
+
+from conftest import (
+    ULP_LENGTHSCALE,
+    dense_lml_oracle,
+    fd_gradient_oracle,
+    random_instance,
+    reference_prediction,
+)
+from soilgp.data import Location, Observation, Rect, make_dataset, normalize
 from soilgp.gp import (
     FitConfig,
     GradientMethod,
@@ -23,7 +31,7 @@ from soilgp.gp import (
 )
 from soilgp import gp as gp_module
 from soilgp.kernels import KernelMode, assemble_training_cov, chol_with_jitter
-from soilgp.mapping import rmse
+from soilgp.mapping import GridSpec, predict_map, rmse
 from soilgp.synthetic import SyntheticField, draw_field
 
 
@@ -255,15 +263,31 @@ class TestPredict:
         res = predict_arrays(model, tasks, xy)
         perm = rng.permutation(15)
         res_p = predict_arrays(model, tasks[perm], xy[perm])
-        # order-preserving: each query's result rides with the query
-        # (BLAS blocking may differ across batch layouts, so not bitwise)
-        np.testing.assert_allclose(res_p.mean, res.mean[perm], atol=1e-12)
-        np.testing.assert_allclose(res_p.variance, res.variance[perm], atol=1e-12)
+        # order-preserving: each query's result rides with the query,
+        # bitwise, whatever block and position it lands in
+        np.testing.assert_array_equal(res_p.mean, res.mean[perm])
+        np.testing.assert_array_equal(res_p.variance, res.variance[perm])
 
     def test_unknown_task_rejected(self):
         model, _ = self.model_on_prior_draw()
         with pytest.raises(ValueError, match="unknown task"):
             predict(model, [(2, (0.0, 0.0))])
+
+    def test_mismatched_query_shapes_rejected(self):
+        model, _ = self.model_on_prior_draw()
+        with pytest.raises(ValueError, match="one \\(x, y\\) per task id"):
+            predict_arrays(model, np.array([0]), np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="one \\(x, y\\) per task id"):
+            predict_arrays(model, np.array([0, 1, 0]), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="one \\(x, y\\) per task id"):
+            predict_arrays(model, np.array([0, 1]), np.zeros((2, 3)))
+
+    def test_non_finite_query_rejected(self):
+        model, _ = self.model_on_prior_draw()
+        with pytest.raises(ValueError, match="finite"):
+            predict_arrays(
+                model, np.array([0, 1]), np.array([[0.0, 1.0], [np.nan, 2.0]])
+            )
 
     def test_include_noise_adds_task_variance(self):
         model, _ = self.model_on_prior_draw(noise=0.04)
@@ -302,6 +326,98 @@ class TestPredict:
         assert raw_var.min() >= -1e-8
         res = predict_arrays(model, tasks, xy)
         assert np.all(res.variance >= 0)
+
+
+def partly_shared_model(mode):
+    """Three tasks at twelve locations: four locations carry every task,
+    three carry tasks 0 and 1, three task 2 only and two task 1 only.
+    Tasks 0 and 1 have distinct length-scales inside the cross kernel's
+    equal-length-scale band."""
+    rng = np.random.default_rng(17)
+    groups = [(0, 1, 2)] * 4 + [(0, 1)] * 3 + [(2,)] * 3 + [(1,)] * 2
+    obs = []
+    for j, tasks in enumerate(groups):
+        loc = Location(float(rng.uniform(0, 60)), float(rng.uniform(0, 40)))
+        obs += [
+            Observation(f"S{j + 1:02d}", loc, t, float(rng.normal())) for t in tasks
+        ]
+    corr = np.array([[1.0, 0.7, -0.3], [0.7, 1.0, 0.2], [-0.3, 0.2, 1.0]])
+    ls = [15.0] if mode is KernelMode.ICM else [15.0, 15.0005, 30.0]
+    theta = theta_from_moments([1.0, 0.8, 1.3], corr, ls, [0.01] * 3, mode)
+    return condition(make_dataset(obs, 3), theta)
+
+
+def one_task_model():
+    rng = np.random.default_rng(18)
+    obs = [
+        Observation(f"S{j + 1:02d}", Location(*map(float, rng.uniform(0, 60, 2))), 0,
+                    float(rng.normal()))
+        for j in range(9)
+    ]
+    theta = theta_from_moments([1.0], np.eye(1), [20.0], [0.01], KernelMode.CONVOLVED)
+    return condition(make_dataset(obs, 1), theta)
+
+
+PREDICTION_MODELS = {
+    "convolved": lambda: partly_shared_model(KernelMode.CONVOLVED),
+    "icm": lambda: partly_shared_model(KernelMode.ICM),
+    "one-task": one_task_model,
+}
+
+
+class TestPredictionCore:
+    """The blocked prediction core against ``assemble_cross_cov`` and one
+    triangular solve over all rows, bitwise, at any block size."""
+
+    @pytest.fixture
+    def cdist_calls(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((len(a), len(b)))
+            return cdist(a, b)
+
+        monkeypatch.setattr(gp_module, "cdist", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(PREDICTION_MODELS))
+    def test_grid_over_several_blocks(self, name, monkeypatch, cdist_calls):
+        model = PREDICTION_MODELS[name]()
+        grid = GridSpec(Rect(-5, 0, 65, 40), 3.0)  # 23 x 13 = 299 cells
+        monkeypatch.setattr(gp_module, "_BLOCK_BYTES", 50_000)
+        cdist_calls.clear()  # the conditioning's own
+        maps = predict_map(model, grid, include_noise=True, denormalize=True)
+
+        n_locations = len(np.unique(model.dataset.xy, axis=0))
+        block = cdist_calls[0][0]
+        assert len(cdist_calls) >= 3 and grid.n_cells % block != 0
+        assert all(b == n_locations for _, b in cdist_calls)  # one per block
+
+        n, p = model.n_tasks, grid.n_cells
+        tasks = np.repeat(np.arange(n), p)
+        xy = np.tile(grid.cell_centers, (n, 1))
+        mean, var = reference_prediction(model, tasks, xy)
+        _, _, noise = model.theta.unpack(model.noise_floor)
+        stds, means = model.stats.stds[tasks], model.stats.means[tasks]
+        mean = mean * stds + means
+        var = (var + noise[tasks]) * stds**2
+        np.testing.assert_array_equal(np.concatenate([pm.mean for pm in maps]), mean)
+        np.testing.assert_array_equal(np.concatenate([pm.variance for pm in maps]), var)
+
+    @pytest.mark.parametrize("budget", [1, 20_000, None])
+    @pytest.mark.parametrize("name", sorted(PREDICTION_MODELS))
+    def test_mixed_task_rows(self, name, budget, monkeypatch):
+        model = PREDICTION_MODELS[name]()
+        if budget is not None:  # 1 byte: a block of one point
+            monkeypatch.setattr(gp_module, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(19)
+        tasks = rng.integers(0, model.n_tasks, 203)
+        xy = rng.uniform(-10, 70, (203, 2))
+        xy[:9] = model.dataset.xy[:9]  # training locations too
+        res = predict_arrays(model, tasks, xy)
+        mean, var = reference_prediction(model, tasks, xy)
+        np.testing.assert_array_equal(res.mean, mean)
+        np.testing.assert_array_equal(res.variance, var)
 
 
 class TestTaskCorrelations:

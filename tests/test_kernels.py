@@ -14,6 +14,7 @@ from soilgp.kernels import (
     assemble_cross_cov,
     assemble_training_cov,
     chol_with_jitter,
+    cross_cov_table,
     cross_matern32,
     cross_matern32_dli,
     matern32,
@@ -320,6 +321,24 @@ class TestTrainingKernel:
         )
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the cross kernel is the 1-D convolution of two Matérn 3/2 kernels; "
+    "on 2-D distances it is not positive semidefinite for every length-scale pair",
+)
+def test_convolved_cov_psd_on_dense_2d_grid():
+    # two tasks on a 15 x 15 grid at 10 m, length-scales 40 and 80 m,
+    # correlation 0.95, no noise: the smallest eigenvalue is about -0.16
+    g = np.arange(15) * 10.0
+    pts = np.column_stack([a.ravel() for a in np.meshgrid(g, g)])
+    tasks = np.repeat([0, 1], len(pts))
+    Kc = np.array([[1.0, 0.95], [0.95, 1.0]])
+    K = assemble_training_cov(
+        tasks, np.tile(pts, (2, 1)), Kc, [40.0, 80.0], np.zeros(2), KernelMode.CONVOLVED
+    )
+    assert np.linalg.eigvalsh(K).min() >= -1e-8
+
+
 class TestAssembleCrossCov:
     def test_queries_equal_obs_reproduces_noiseless_block(self):
         rng = np.random.default_rng(6)
@@ -340,6 +359,28 @@ class TestAssembleCrossCov:
         far = np.array([[100 * 14.0 + 100, 0.0]])
         K = assemble_cross_cov(np.array([0]), far, tasks, xy, Kc, ls, KernelMode.CONVOLVED)
         assert np.all(np.abs(K) < 1e-8 * np.abs(Kc).max())
+
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_table_gathers_to_cross_cov_bitwise(self, mode):
+        # 3 tasks at 7 distinct locations, some shared by only some tasks;
+        # tasks 0 and 1 lie inside the equal-length-scale band
+        rng = np.random.default_rng(9)
+        locs = rng.uniform(0, 80, (7, 2))
+        loc = np.array([0, 0, 0, 1, 1, 2, 3, 3, 4, 5, 6, 6])
+        tasks = np.array([0, 1, 2, 0, 2, 1, 1, 2, 0, 2, 0, 1])
+        ls = [9.0] if mode is KernelMode.ICM else [9.0, 9.0004, 21.0]
+        L = np.tril(rng.normal(size=(3, 3)))
+        Kc = L @ L.T
+        q_xy = rng.uniform(-10, 90, (11, 2))
+        rows = (2, 0, 1)
+        table = np.empty((3, 11, 3 * 7))
+        cross_cov_table(cdist(q_xy, locs), rows, Kc, ls, mode, table)
+        gathered = np.take(table, tasks * 7 + loc, axis=2)
+        for a, i in enumerate(rows):
+            expected = assemble_cross_cov(
+                np.full(11, i), q_xy, tasks, locs[loc], Kc, ls, mode
+            )
+            np.testing.assert_array_equal(gathered[a], expected)
 
     def test_shape_one_query_120_obs(self):
         rng = np.random.default_rng(8)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soilgp import gp as gp_module
 from soilgp.data import Rect, make_dataset
 from soilgp.gp import FitConfig, condition, predict_arrays, theta_from_moments
 from soilgp.kernels import KernelMode
@@ -79,8 +82,30 @@ class TestPredictMap:
                 grid.cell_centers,
                 denormalize=True,
             )
-            np.testing.assert_allclose(pm.mean, res.mean, atol=1e-12)
-            np.testing.assert_allclose(pm.variance, res.variance, atol=1e-12)
+            np.testing.assert_array_equal(pm.mean, res.mean)
+            np.testing.assert_array_equal(pm.variance, res.variance)
+
+    def test_memory_bounded_for_any_grid(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc; beyond its outputs,
+        # predict_map holds one block's temporaries (and the last block's
+        # small leftovers), whatever the cell count. A 1 MiB budget puts
+        # both grids past their first few blocks.
+        monkeypatch.setattr(gp_module, "_BLOCK_BYTES", 1 << 20)
+        model = tiny_model()
+        extra = []
+        for resolution in (1.0, 0.3125):  # 10,000 and 102,400 cells
+            grid = GridSpec(Rect(0, 0, 100, 100), resolution)
+            grid.cell_centers  # cached on the grid, made outside the measurement
+            tracemalloc.start()
+            try:
+                maps = predict_map(model, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            outputs = sum(pm.mean.nbytes + pm.variance.nbytes for pm in maps)
+            extra.append(peak - outputs)
+        assert abs(extra[1] - extra[0]) <= 16 * 1024
+        assert max(extra) <= 2 * gp_module._BLOCK_BYTES
 
     def test_far_grid_reverts_to_prior(self):
         model = tiny_model()
