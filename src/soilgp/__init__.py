@@ -14,7 +14,6 @@ from .data import (
 from .gp import (
     FitConfig,
     FittedModel,
-    GradientMethod,
     HyperParams,
     PredictionResult,
     condition,
@@ -25,20 +24,17 @@ from .gp import (
     predict,
     predict_arrays,
     predict_tasks,
-    sample_prior,
     task_correlations,
     theta_from_moments,
 )
 from .kernels import (
     KernelMode,
     NumericFailure,
-    TaskCholesky,
     assemble_cross_cov,
     assemble_training_cov,
     cross_matern32,
     matern32,
     pack_theta,
-    task_cov,
     unpack_theta,
 )
 from .mapping import (

@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import Rect
-from .gp import NumericFailure, correlation_matrix, fit, predict_arrays
+from .gp import HyperParams, NumericFailure, correlation_matrix, fit, predict_arrays
 from .io import (
     RunConfig,
     dataset_digest,
@@ -36,7 +36,7 @@ from .io import (
     write_trajectory,
     write_truth,
 )
-from .kernels import KernelMode, task_cov, TaskCholesky
+from .kernels import KernelMode
 from .mapping import GridSpec, correlation_trajectory, predict_map, sequential_eval
 from .mission import DrillSpec, grid_plan, sample_mass
 from .synthetic import SyntheticField, draw_field
@@ -228,8 +228,7 @@ def _cmd_correlations(args):
         raise _UsageError("correlations needs exactly one of --model or --obs")
     if args.model:
         record = read_model(args.model)
-        n_tri = record.n_tasks * (record.n_tasks + 1) // 2
-        Kc = task_cov(TaskCholesky(record.n_tasks, record.theta[:n_tri]))
+        Kc = HyperParams(record.theta, record.n_tasks, record.mode).task_cov()
         write_correlation_matrix(args.out, record.labels, correlation_matrix(Kc))
     else:
         cfg = _resolve_config(args)

@@ -206,9 +206,6 @@ class NormStats:
     def n_tasks(self) -> int:
         return len(self.means)
 
-    def normalize_values(self, task, values):
-        return (np.asarray(values) - self.means[task]) / self.stds[task]
-
     def denormalize_values(self, task, values):
         return np.asarray(values) * self.stds[task] + self.means[task]
 

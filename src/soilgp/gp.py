@@ -11,7 +11,6 @@ can be returned in normalized or original units.
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ from .kernels import (
     KernelMode,
     NumericFailure,
     TrainingKernel,
-    assemble_training_cov,
+    _tril_slots,
     chol_with_jitter,
     cross_cov_table,
     pack_theta,
@@ -36,7 +35,6 @@ from .kernels import (
 )
 
 __all__ = [
-    "GradientMethod",
     "HyperParams",
     "FitConfig",
     "FittedModel",
@@ -46,11 +44,11 @@ __all__ = [
     "fit",
     "condition",
     "predict",
+    "predict_arrays",
     "predict_tasks",
     "task_correlations",
     "correlation_matrix",
     "fit_stgp",
-    "sample_prior",
     "theta_from_moments",
 ]
 
@@ -59,11 +57,6 @@ logger = logging.getLogger(__name__)
 LOG_2PI = np.log(2.0 * np.pi)
 
 REJECTED = -np.inf  # sentinel for hyperparameters whose covariance is not PSD
-
-
-class GradientMethod(enum.Enum):
-    ANALYTIC = "analytic"
-    FINITE_DIFFERENCE = "finite_difference"
 
 
 @dataclass(frozen=True)
@@ -218,14 +211,9 @@ def _analytic_gradient(prob: _Problem, mode, Lf, alpha, parts, theta_vec, noise_
     A = np.bincount(
         prob.pair.ravel(), weights=(W * spatial.value).ravel(), minlength=n * n
     ).reshape(n, n)
-    GL = A @ L
-    g_chol = []
-    for a in range(n):
-        for b in range(a + 1):
-            g = GL[a, b]
-            if a == b:
-                g *= L[a, a]  # chain through the log-diagonal
-            g_chol.append(g)
+    rows, cols, diag = _tril_slots(n)
+    g_chol = (A @ L)[rows, cols]
+    g_chol[diag] *= L.diagonal()  # chain through the log-diagonal
 
     # Length-scales (ICM: dS/dl; CONVOLVED: ∂S/∂l of each entry's row task)
     WdS = W * Kce
@@ -237,25 +225,11 @@ def _analytic_gradient(prob: _Problem, mode, Lf, alpha, parts, theta_vec, noise_
         g_ls = np.bincount(t, weights=row, minlength=n) * ls
 
     # Noise variances (zero below the floor, where the value is clamped)
-    n_tri = n * (n + 1) // 2
-    n_ls = len(ls)
-    raw = np.exp(theta_vec[n_tri + n_ls :])
+    raw = np.exp(theta_vec[-n:])
     active = raw > noise_floor
     g_noise = 0.5 * np.bincount(t, weights=np.diag(W), minlength=n) * raw * active
 
-    return np.concatenate([np.array(g_chol), g_ls, g_noise])
-
-
-def _fd_gradient(prob: _Problem, theta_vec, mode, noise_floor, step=1e-5):
-    g = np.empty_like(theta_vec)
-    for i in range(len(theta_vec)):
-        tp = theta_vec.copy()
-        tp[i] += step
-        fp = _lml_core(prob, tp, mode, noise_floor)[0]
-        tp[i] -= 2 * step
-        fm = _lml_core(prob, tp, mode, noise_floor)[0]
-        g[i] = (fp - fm) / (2 * step)
-    return g
+    return np.concatenate([g_chol, g_ls, g_noise])
 
 
 def log_marginal_likelihood(theta: HyperParams, dataset: Dataset) -> float:
@@ -269,20 +243,13 @@ def log_marginal_likelihood(theta: HyperParams, dataset: Dataset) -> float:
     return _lml_core(prob, theta.values, theta.mode, NOISE_FLOOR)[0]
 
 
-def lml_gradient(
-    theta: HyperParams,
-    dataset: Dataset,
-    method: GradientMethod = GradientMethod.ANALYTIC,
-    fd_step: float = 1e-5,
-) -> np.ndarray:
+def lml_gradient(theta: HyperParams, dataset: Dataset) -> np.ndarray:
     """Gradient of the log marginal likelihood in the packed space."""
     if theta.n_tasks != dataset.n_tasks:
         raise ValueError(
             f"theta is for {theta.n_tasks} tasks, dataset has {dataset.n_tasks}"
         )
     prob = _Problem(dataset)
-    if method is GradientMethod.FINITE_DIFFERENCE:
-        return _fd_gradient(prob, theta.values.copy(), theta.mode, NOISE_FLOOR, fd_step)
     lml, Lf, _, alpha, parts = _lml_core(prob, theta.values, theta.mode, NOISE_FLOOR)
     if lml == REJECTED:
         raise NumericFailure("cannot differentiate a rejected hyperparameter point")
@@ -612,44 +579,6 @@ def fit_stgp(dataset: Dataset, config: FitConfig) -> list[FittedModel]:
         sub = make_dataset(obs, 1, (dataset.labels[i],))
         models.append(fit(sub, config))
     return models
-
-
-def sample_prior(
-    theta: HyperParams,
-    locations,
-    seed: int,
-    labels=None,
-    sample_ids=None,
-) -> Dataset:
-    """One homotopic draw y ~ N(0, K+Σ) materialized as a Dataset.
-
-    Observations are ordered sample-major (all tasks of location j
-    before location j+1), defining the sequential-replay order.
-    """
-    locs = [loc if isinstance(loc, Location) else Location(*loc) for loc in locations]
-    m, n = len(locs), theta.n_tasks
-    if m == 0:
-        raise ValueError("at least one location required")
-    if sample_ids is None:
-        width = max(2, len(str(m)))
-        sample_ids = [f"S{j + 1:0{width}d}" for j in range(m)]
-
-    tasks = np.tile(np.arange(n, dtype=np.intp), m)
-    xy = np.repeat(np.array([(p.x, p.y) for p in locs]), n, axis=0)
-    L_task, ls, noise = theta.unpack()
-    Kc = L_task @ L_task.T
-    K = assemble_training_cov(tasks, xy, Kc, ls, noise, theta.mode)
-    Lf, _ = chol_with_jitter(K)
-    rng = np.random.default_rng(seed)
-    y = Lf @ rng.standard_normal(m * n)
-
-    obs = []
-    k = 0
-    for j, loc in enumerate(locs):
-        for i in range(n):
-            obs.append(Observation(sample_ids[j], loc, i, float(y[k])))
-            k += 1
-    return make_dataset(obs, n, labels)
 
 
 def theta_from_moments(

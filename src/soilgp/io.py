@@ -29,6 +29,7 @@ __all__ = [
     "OBS_HEADER",
     "RunConfig",
     "parse_observations",
+    "serialize_observations",
     "write_observations",
     "dataset_digest",
     "parse_run_config",
@@ -41,6 +42,7 @@ __all__ = [
     "write_predictions",
     "parse_queries",
     "parse_truth",
+    "write_truth",
     "write_plan",
     "parse_plan",
     "parse_boundary",
@@ -408,7 +410,10 @@ def parse_truth(path, labels) -> GroundTruth:
             per_task_xy[i].append(
                 (_parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m"))
             )
-            per_task_v[i].append(_parse_float(vs, row_num, "value"))
+            v = _parse_float(vs, row_num, "value")
+            if not np.isfinite(v):
+                raise ValueError(f"row {row_num}: non-finite value {vs!r}")
+            per_task_v[i].append(v)
     counts = {i: len(v) for i, v in per_task_v.items()}
     if min(counts.values()) == 0:
         missing = [labels[i] for i, c in counts.items() if c == 0]

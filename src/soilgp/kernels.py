@@ -25,7 +25,7 @@ the optimizer never needs box constraints.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cholesky
@@ -41,8 +41,6 @@ __all__ = [
     "cross_matern32",
     "cross_matern32_dli",
     "TrainingKernel",
-    "TaskCholesky",
-    "task_cov",
     "theta_dim",
     "pack_theta",
     "unpack_theta",
@@ -311,56 +309,6 @@ def cross_cov_table(r, rows, task_cov_matrix, lengthscales, mode: KernelMode, ou
     return out
 
 
-@dataclass(frozen=True)
-class TaskCholesky:
-    """Packed free-form factor of the task covariance, Kc = L Lᵀ.
-
-    ``packed`` holds the n(n+1)/2 lower-triangular entries row-major
-    with the diagonal in log-space, so every packed vector materializes
-    to a factor with strictly positive diagonal.
-    """
-
-    n: int
-    packed: np.ndarray
-
-    def __post_init__(self):
-        expected = self.n * (self.n + 1) // 2
-        if self.packed.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} packed entries for n={self.n}, "
-                f"got {self.packed.shape}"
-            )
-
-    @classmethod
-    def from_matrix(cls, L: np.ndarray) -> "TaskCholesky":
-        L = np.asarray(L, dtype=float)
-        n = L.shape[0]
-        if L.shape != (n, n):
-            raise ValueError("factor must be square")
-        if np.any(np.diag(L) <= 0):
-            raise ValueError("factor diagonal must be strictly positive")
-        packed = []
-        for a in range(n):
-            for b in range(a + 1):
-                packed.append(np.log(L[a, a]) if a == b else L[a, b])
-        return cls(n, np.array(packed))
-
-    def matrix(self) -> np.ndarray:
-        L = np.zeros((self.n, self.n))
-        k = 0
-        for a in range(self.n):
-            for b in range(a + 1):
-                L[a, b] = np.exp(self.packed[k]) if a == b else self.packed[k]
-                k += 1
-        return L
-
-
-def task_cov(chol: TaskCholesky) -> np.ndarray:
-    """Materialize the free-form task covariance Kc = L Lᵀ (symmetric PSD)."""
-    L = chol.matrix()
-    return L @ L.T
-
-
 # ---------------------------------------------------------------------------
 # Hyperparameter packing
 #
@@ -370,6 +318,19 @@ def task_cov(chol: TaskCholesky) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _tril_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The packing order of the task factor L: the (row, column) indices
+    of its lower triangle, row-major, and the positions of the diagonal
+    among them. Cached, one entry per task count, so every caller shares
+    the same read-only arrays."""
+    rows, cols = np.tril_indices(n)
+    diag = np.flatnonzero(rows == cols)
+    for a in (rows, cols, diag):
+        a.flags.writeable = False
+    return rows, cols, diag
+
+
 def theta_dim(n_tasks: int, mode: KernelMode) -> int:
     n_ls = 1 if mode is KernelMode.ICM else n_tasks
     return n_tasks * (n_tasks + 1) // 2 + n_ls + n_tasks
@@ -377,16 +338,23 @@ def theta_dim(n_tasks: int, mode: KernelMode) -> int:
 
 def pack_theta(L: np.ndarray, lengthscales, noise_vars, mode: KernelMode) -> np.ndarray:
     """Pack materialized hyperparameters into the unconstrained vector."""
-    chol = TaskCholesky.from_matrix(L)
+    L = np.asarray(L, dtype=float)
+    n = L.shape[0]
+    if L.shape != (n, n):
+        raise ValueError("factor must be square")
+    if np.any(np.diag(L) <= 0):
+        raise ValueError("factor diagonal must be strictly positive")
+    rows, cols, diag = _tril_slots(n)
+    tri = L[rows, cols]
+    tri[diag] = np.log(tri[diag])
     ls = _check_lengthscale(np.atleast_1d(lengthscales))
     nv = np.atleast_1d(np.asarray(noise_vars, dtype=float))
-    n = chol.n
     n_ls = 1 if mode is KernelMode.ICM else n
     if ls.shape != (n_ls,):
         raise ValueError(f"expected {n_ls} length-scale(s) for mode {mode.value}")
     if nv.shape != (n,) or np.any(nv <= 0):
         raise ValueError(f"expected {n} positive noise variances")
-    return np.concatenate([chol.packed, np.log(ls), np.log(nv)])
+    return np.concatenate([tri, np.log(ls), np.log(nv)])
 
 
 def unpack_theta(
@@ -409,7 +377,11 @@ def unpack_theta(
         )
     n_tri = n_tasks * (n_tasks + 1) // 2
     n_ls = 1 if mode is KernelMode.ICM else n_tasks
-    L = TaskCholesky(n_tasks, theta[:n_tri]).matrix()
+    rows, cols, diag = _tril_slots(n_tasks)
+    tri = theta[:n_tri].copy()
+    tri[diag] = np.exp(tri[diag])
+    L = np.zeros((n_tasks, n_tasks))
+    L[rows, cols] = tri
     ls = np.exp(theta[n_tri : n_tri + n_ls])
     noise = np.maximum(np.exp(theta[n_tri + n_ls :]), noise_floor)
     return L, ls, noise

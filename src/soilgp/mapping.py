@@ -43,6 +43,9 @@ class GridSpec:
     resolution: float
 
     def __post_init__(self):
+        b = self.bounds
+        if not np.all(np.isfinite([b.xmin, b.ymin, b.xmax, b.ymax, self.resolution])):
+            raise ValueError(f"grid bounds {b} and resolution must be finite")
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
         if self.nx < 1 or self.ny < 1:

@@ -88,6 +88,8 @@ def _segments_properly_intersect(p1, p2, p3, p4) -> bool:
 def _validate_simple_polygon(poly, what: str):
     if len(poly) < 3:
         raise ValueError(f"{what} needs at least 3 vertices")
+    if not all(math.isfinite(c) for p in poly for c in p):
+        raise ValueError(f"{what} has a non-finite vertex")
     if abs(_polygon_area2(poly)) < 1e-12:
         raise ValueError(f"{what} is degenerate (zero area)")
     n = len(poly)
@@ -180,8 +182,8 @@ def grid_plan(boundary: FieldBoundary, spacing: float) -> SamplePlan:
     rows are ordered south to north and traversed serpentine to shorten
     travel between consecutive samples.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not (spacing > 0 and math.isfinite(spacing)):
+        raise ValueError("spacing must be positive and finite")
     xmin, ymin, xmax, ymax = boundary.bounding_box()
     nx = int(math.floor((xmax - xmin) / spacing + 1e-9)) + 1
     ny = int(math.floor((ymax - ymin) / spacing + 1e-9)) + 1

@@ -22,6 +22,7 @@ __all__ = [
     "correlation_matrix",
     "prior_theta",
     "random_locations",
+    "grid_locations",
     "draw_field",
 ]
 

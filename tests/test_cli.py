@@ -1,3 +1,5 @@
+import pytest
+
 from soilgp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from soilgp.io import parse_observations
 
@@ -74,6 +76,84 @@ class TestDataErrors:
         )
         assert code == EXIT_DATA
         assert "digest mismatch" in err
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A small synthetic campaign and a model fitted to it."""
+    d = tmp_path_factory.mktemp("fitted")
+    obs, model = d / "obs.csv", d / "model.txt"
+    assert main(["synth", "--out", str(obs), "--seed", "1", "--n-samples", "6"]) == EXIT_OK
+    assert main(["fit", "--obs", str(obs), "--out", str(model), "--restarts", "1",
+                 "--max-iters", "30"]) == EXIT_OK
+    return obs, model
+
+
+def with_theta(model, tmp_path, edit):
+    """A copy of a model file whose theta entries pass through ``edit``."""
+    lines = model.read_text().splitlines()
+    for k, line in enumerate(lines):
+        if line.startswith("theta "):
+            lines[k] = "theta " + " ".join(edit(line.split()[1:]))
+    out = tmp_path / "edited_model.txt"
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+class TestNonFiniteInputs:
+    def test_map_bounds(self, capsys, tmp_path, fitted):
+        obs, model = fitted
+        code, _, err = run(
+            capsys, "map", "--model", str(model), "--obs", str(obs),
+            "--out-dir", str(tmp_path / "maps"), "--bounds", "0,0,inf,170",
+        )
+        assert code == EXIT_DATA
+        assert "finite" in err
+
+    def test_synth_truth_grid_width(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "synth", "--out", str(tmp_path / "o.csv"), "--width", "inf",
+            "--truth-out", str(tmp_path / "t.csv"),
+        )
+        assert code == EXIT_DATA
+        assert "finite" in err
+
+    def test_plan_boundary_vertex(self, capsys, tmp_path):
+        bound = tmp_path / "bound.csv"
+        bound.write_text("ring,x_m,y_m\n0,0,0\n0,inf,0\n0,90,90\n0,0,90\n")
+        code, _, err = run(capsys, "plan", "--boundary", str(bound),
+                           "--spacing", "45", "--out", str(tmp_path / "plan.csv"))
+        assert code == EXIT_DATA
+        assert "non-finite vertex" in err
+
+    def test_plan_spacing(self, capsys, tmp_path):
+        bound = tmp_path / "bound.csv"
+        bound.write_text("ring,x_m,y_m\n0,0,0\n0,90,0\n0,90,90\n0,0,90\n")
+        code, out, err = run(capsys, "plan", "--boundary", str(bound),
+                             "--spacing", "inf", "--out", str(tmp_path / "plan.csv"))
+        assert code == EXIT_DATA
+        assert "spacing" in err and not out
+
+    def test_correlations_model_nan_theta(self, capsys, tmp_path, fitted):
+        _, model = fitted
+        bad = with_theta(model, tmp_path, lambda v: ["nan"] + v[1:])
+        code, _, err = run(capsys, "correlations", "--model", str(bad),
+                           "--out", str(tmp_path / "corr.csv"))
+        assert code == EXIT_DATA
+        assert "finite" in err
+        assert not (tmp_path / "corr.csv").exists()
+
+    def test_correlations_model_extra_theta(self, capsys, tmp_path, fitted):
+        obs, model = fitted
+        bad = with_theta(model, tmp_path, lambda v: v + ["0.5"])
+        code, _, err = run(capsys, "correlations", "--model", str(bad),
+                           "--out", str(tmp_path / "corr.csv"))
+        assert code == EXIT_DATA
+        assert "theta dimension mismatch" in err
+        code, _, err = run(capsys, "map", "--model", str(bad), "--obs", str(obs),
+                           "--out-dir", str(tmp_path / "maps"))
+        assert code == EXIT_DATA
+        assert "theta dimension mismatch" in err
 
 
 class TestSynth:

@@ -16,7 +16,6 @@ from conftest import (
 from soilgp.data import Location, Observation, Rect, make_dataset, normalize
 from soilgp.gp import (
     FitConfig,
-    GradientMethod,
     HyperParams,
     condition,
     fit,
@@ -25,14 +24,13 @@ from soilgp.gp import (
     lml_gradient,
     predict,
     predict_arrays,
-    sample_prior,
     task_correlations,
     theta_from_moments,
 )
 from soilgp import gp as gp_module
 from soilgp.kernels import KernelMode, assemble_training_cov, chol_with_jitter
 from soilgp.mapping import GridSpec, predict_map, rmse
-from soilgp.synthetic import SyntheticField, draw_field
+from soilgp.synthetic import SyntheticField, draw_field, prior_theta
 
 
 def single_point_dataset():
@@ -105,17 +103,6 @@ class TestGradient:
             v,
         )
         assert np.linalg.norm(analytic - oracle) <= 1e-4 * np.linalg.norm(oracle)
-
-    def test_fd_mode_equals_oracle_by_construction(self):
-        ds, theta = random_instance(55)
-        ours = lml_gradient(theta, ds, GradientMethod.FINITE_DIFFERENCE)
-        oracle = fd_gradient_oracle(
-            lambda v: log_marginal_likelihood(
-                HyperParams(v, theta.n_tasks, theta.mode), ds
-            ),
-            theta.values,
-        )
-        np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
     def test_small_norm_at_converged_optimum(self, small_dataset):
         model = fit(small_dataset, FitConfig(restarts=3, seed=1, tol=1e-12))
@@ -502,35 +489,38 @@ class TestFitStgp:
 
 
 class TestSamplePrior:
-    def make_theta(self):
-        return theta_from_moments(
-            [1.0, 1.0], np.array([[1.0, 0.8], [0.8, 1.0]]), [10.0, 10.0],
-            [0.3, 0.3], KernelMode.CONVOLVED,
+    """The prior draw, :func:`synthetic.draw_field`, at given locations."""
+
+    def make_field(self, n_samples):
+        return SyntheticField(
+            n_tasks=2, labels=("a", "b"), variances=(1.0, 1.0),
+            correlations=((0, 1, 0.8),), lengthscales=(10.0, 10.0),
+            noise_vars=(0.3, 0.3), n_samples=n_samples,
         )
+
+    def draw(self, locs, seed):
+        return draw_field(self.make_field(len(locs)), seed, locations=locs)[0]
 
     def test_shape_and_ordering(self):
         locs = [Location(0, 0), Location(5, 5), Location(9, 2)]
-        ds = sample_prior(self.make_theta(), locs, seed=0, labels=("a", "b"))
-        assert len(ds) == 6
+        ds = self.draw(locs, seed=0)
+        assert len(ds) == 6 and ds.labels == ("a", "b")
         assert ds.sample_order == ("S01", "S02", "S03")
         assert list(ds.task_index[:2]) == [0, 1]  # sample-major layout
 
     def test_deterministic_per_seed(self):
         locs = [Location(0, 0), Location(5, 5)]
-        a = sample_prior(self.make_theta(), locs, seed=7)
-        b = sample_prior(self.make_theta(), locs, seed=7)
+        a = self.draw(locs, seed=7)
+        b = self.draw(locs, seed=7)
         np.testing.assert_array_equal(a.values, b.values)
-        c = sample_prior(self.make_theta(), locs, seed=8)
+        c = self.draw(locs, seed=8)
         assert not np.array_equal(a.values, c.values)
 
     def test_monte_carlo_covariance(self):
-        theta = self.make_theta()
         locs = [Location(0, 0), Location(4, 0), Location(0, 6)]
-        draws = np.stack(
-            [sample_prior(theta, locs, seed=s).values for s in range(2000)]
-        )
+        draws = np.stack([self.draw(locs, seed=s).values for s in range(2000)])
         empirical = np.cov(draws, rowvar=False, bias=True)
-        L_task, ls, noise = theta.unpack()
+        L_task, ls, noise = prior_theta(self.make_field(3)).unpack()
         tasks = np.tile(np.arange(2), 3)
         xy = np.repeat(np.array([(p.x, p.y) for p in locs]), 2, axis=0)
         expected = assemble_training_cov(

@@ -267,6 +267,13 @@ class TestTruthAndQueries:
         with pytest.raises(ValueError, match="share one point set"):
             parse_truth(p, ("a", "b"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_truth_non_finite_value_rejected(self, tmp_path, bad):
+        p = tmp_path / "truth.csv"
+        p.write_text(f"task,x_m,y_m,value\na,0,0,1\nb,0,0,{bad}\n")
+        with pytest.raises(ValueError, match="row 3: non-finite value"):
+            parse_truth(p, ("a", "b"))
+
     def test_truth_missing_task(self, tmp_path):
         p = tmp_path / "truth.csv"
         p.write_text("task,x_m,y_m,value\na,0,0,1\n")

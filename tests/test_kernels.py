@@ -9,7 +9,6 @@ from conftest import ULP_LENGTHSCALE, naive_cov
 from soilgp.kernels import (
     KernelMode,
     NumericFailure,
-    TaskCholesky,
     TrainingKernel,
     assemble_cross_cov,
     assemble_training_cov,
@@ -20,7 +19,6 @@ from soilgp.kernels import (
     matern32,
     matern32_dl,
     pack_theta,
-    task_cov,
     theta_dim,
     unpack_theta,
 )
@@ -124,14 +122,21 @@ class TestCrossMatern32:
             cross_matern32(1.0, -1.0, 2.0)
 
 
+def packed_task_cov(L):
+    """Kc = L Lᵀ through the packed space, as the objective forms it."""
+    n = L.shape[0]
+    theta = pack_theta(L, np.ones(n), np.ones(n), KernelMode.CONVOLVED)
+    L2, _, _ = unpack_theta(theta, n, KernelMode.CONVOLVED)
+    return L2 @ L2.T
+
+
 class TestTaskCov:
     def test_identity_factor(self):
-        chol = TaskCholesky.from_matrix(np.eye(3))
-        np.testing.assert_array_equal(task_cov(chol), np.eye(3))
+        np.testing.assert_array_equal(packed_task_cov(np.eye(3)), np.eye(3))
 
     def test_hand_two_by_two(self):
         L = np.array([[1.0, 0.0], [0.9, 0.43589]])
-        Kc = task_cov(TaskCholesky.from_matrix(L))
+        Kc = packed_task_cov(L)
         np.testing.assert_allclose(Kc, [[1.0, 0.9], [0.9, 1.0]], atol=1e-4)
 
     @given(seed=st.integers(0, 10_000))
@@ -141,13 +146,13 @@ class TestTaskCov:
         n = int(rng.integers(1, 5))
         L = np.tril(rng.uniform(-2, 2, (n, n)))
         np.fill_diagonal(L, rng.uniform(0.1, 3, n))
-        Kc = task_cov(TaskCholesky.from_matrix(L))
+        Kc = packed_task_cov(L)
         np.testing.assert_allclose(Kc, Kc.T, atol=1e-12)
         chol_with_jitter(Kc + 1e-10 * np.eye(n), (0.0,))  # must not raise
 
     def test_rejects_nonpositive_diagonal(self):
-        with pytest.raises(ValueError):
-            TaskCholesky.from_matrix(np.array([[0.0]]))
+        with pytest.raises(ValueError, match="diagonal"):
+            pack_theta(np.array([[0.0]]), [1.0], [1.0], KernelMode.ICM)
 
 
 class TestThetaPacking:
@@ -165,6 +170,20 @@ class TestThetaPacking:
         np.testing.assert_allclose(L2, L, atol=1e-12)
         np.testing.assert_allclose(ls2, ls, rtol=1e-12)
         np.testing.assert_allclose(noise2, noise, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_row_major_lower_triangle_order(self, n):
+        # entry k of a sentinel theta lands in the k-th row-major slot of
+        # the factor's lower triangle, exponentiated on the diagonal
+        theta = np.arange(theta_dim(n, KernelMode.CONVOLVED), dtype=float)
+        L, _, _ = unpack_theta(theta, n, KernelMode.CONVOLVED)
+        expected = np.zeros((n, n))
+        k = 0
+        for a in range(n):
+            for b in range(a + 1):
+                expected[a, b] = np.exp(k) if a == b else k
+                k += 1
+        np.testing.assert_array_equal(L, expected)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):

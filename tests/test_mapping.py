@@ -59,6 +59,16 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(Rect(0, 0, 10, 10), -1.0)
 
+    @pytest.mark.parametrize(
+        "bounds, resolution",
+        [((0, 0, np.inf, 170), 1.0), ((0, -np.inf, 300, 170), 1.0),
+         ((0, 0, 300, np.nan), 1.0), ((0, 0, 300, 170), np.inf),
+         ((0, 0, 300, 170), np.nan)],
+    )
+    def test_non_finite_rejected(self, bounds, resolution):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(Rect(*bounds), resolution)
+
 
 class TestPredictMap:
     def test_single_cell_equals_point_predict(self):

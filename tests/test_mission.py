@@ -99,6 +99,13 @@ class TestFieldBoundary:
         with pytest.raises(ValueError, match="self-intersecting"):
             FieldBoundary(((0.0, 0.0), (10.0, 0.0), (0.0, 8.0), (6.0, 12.0)))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_vertex_rejected(self, bad):
+        with pytest.raises(ValueError, match="boundary polygon has a non-finite"):
+            FieldBoundary(((0.0, 0.0), (bad, 0.0), (100.0, 100.0), (0.0, 100.0)))
+        with pytest.raises(ValueError, match="exclusion polygon 0 has a non-finite"):
+            FieldBoundary(SQUARE, (((40.0, 40.0), (60.0, bad), (50.0, 60.0)),))
+
     def test_concave_polygon(self):
         # L-shape: the notch is outside
         L = ((0.0, 0.0), (10.0, 0.0), (10.0, 4.0), (4.0, 4.0), (4.0, 10.0), (0.0, 10.0))
@@ -153,8 +160,9 @@ class TestGridPlan:
                 assert d >= plan.spacing - 1e-6
 
     def test_invalid_spacing(self):
-        with pytest.raises(ValueError, match="spacing"):
-            grid_plan(FieldBoundary(SQUARE), 0.0)
+        for spacing in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="spacing must be positive and finite"):
+                grid_plan(FieldBoundary(SQUARE), spacing)
 
     @given(
         dx=st.floats(-500, 500, allow_nan=False),
