@@ -59,17 +59,43 @@ NODATA = -9999.0
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
 
-def _atomic_write(path, text: str):
+def _write_lines(path, header: str, lines):
+    """Stream ``header`` and then each of ``lines`` (newline added) into a
+    temp file beside ``path``, then rename it over ``path``. On any
+    failure the temp file is removed and ``path`` is left as it was."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.write(header + "\n")
+            f.writelines(line + "\n" for line in lines)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def _read_rows(path, header: str):
+    """Yield ``(row number, stripped fields)`` for each non-blank row of a
+    CSV whose first row must be ``header``. An empty file yields nothing."""
+    names = header.split(",")
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        first = next(reader, None)
+        if first is None:
+            return
+        if [h.strip() for h in first] != names:
+            raise ValueError(
+                f"row 1: malformed header {','.join(first)!r} (expected {header!r})"
+            )
+        for row_num, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(names):
+                raise ValueError(
+                    f"row {row_num}: expected {len(names)} fields, got {len(row)}"
+                )
+            yield row_num, [c.strip() for c in row]
 
 
 def _fmt(v) -> str:
@@ -95,70 +121,56 @@ def parse_observations(path) -> Dataset:
     Task indices follow first appearance of labels; file order is
     insertion order. Rows for one sample_id must be contiguous.
     """
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty dataset")
-        if [h.strip() for h in header] != OBS_HEADER.split(","):
-            raise ValueError(
-                f"row 1: malformed header {','.join(header)!r} "
-                f"(expected {OBS_HEADER!r})"
-            )
-        labels: list[str] = []
-        observations = []
-        seen_ids: set[str] = set()
-        current_id = None
-        for row_num, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 5:
-                raise ValueError(f"row {row_num}: expected 5 fields, got {len(row)}")
-            sid, xs, ys, label, vs = (c.strip() for c in row)
-            if not sid:
-                raise ValueError(f"row {row_num}: empty sample_id")
-            if sid != current_id:
-                if sid in seen_ids:
-                    raise ValueError(
-                        f"row {row_num}: rows for sample {sid!r} are not contiguous"
-                    )
-                seen_ids.add(sid)
-                current_id = sid
-            x = _parse_float(xs, row_num, "x_m")
-            y = _parse_float(ys, row_num, "y_m")
-            value = _parse_float(vs, row_num, "value")
-            if not _LABEL_RE.match(label):
-                raise ValueError(f"row {row_num}: invalid task label {label!r}")
-            if label not in labels:
-                if len(labels) >= MAX_TASK_LABELS:
-                    raise ValueError(
-                        f"row {row_num}: more than {MAX_TASK_LABELS} task labels"
-                    )
-                labels.append(label)
-            try:
-                observations.append(
-                    Observation(sid, Location(x, y), labels.index(label), value)
+    labels: list[str] = []
+    observations = []
+    seen_ids: set[str] = set()
+    current_id = None
+    for row_num, (sid, xs, ys, label, vs) in _read_rows(path, OBS_HEADER):
+        if not sid:
+            raise ValueError(f"row {row_num}: empty sample_id")
+        if sid != current_id:
+            if sid in seen_ids:
+                raise ValueError(
+                    f"row {row_num}: rows for sample {sid!r} are not contiguous"
                 )
-            except ValueError as e:
-                raise ValueError(f"row {row_num}: {e}")
+            seen_ids.add(sid)
+            current_id = sid
+        x = _parse_float(xs, row_num, "x_m")
+        y = _parse_float(ys, row_num, "y_m")
+        value = _parse_float(vs, row_num, "value")
+        if not _LABEL_RE.match(label):
+            raise ValueError(f"row {row_num}: invalid task label {label!r}")
+        if label not in labels:
+            if len(labels) >= MAX_TASK_LABELS:
+                raise ValueError(
+                    f"row {row_num}: more than {MAX_TASK_LABELS} task labels"
+                )
+            labels.append(label)
+        try:
+            observations.append(
+                Observation(sid, Location(x, y), labels.index(label), value)
+            )
+        except ValueError as e:
+            raise ValueError(f"row {row_num}: {e}")
     if not observations:
         raise ValueError("empty dataset")
     return make_dataset(observations, len(labels), labels)
 
 
-def serialize_observations(dataset: Dataset) -> str:
-    lines = [OBS_HEADER]
+def _observation_lines(dataset: Dataset):
     for o in dataset.observations:
-        lines.append(
+        yield (
             f"{o.sample_id},{_fmt(o.location.x)},{_fmt(o.location.y)},"
             f"{dataset.labels[o.task]},{_fmt(o.value)}"
         )
-    return "\n".join(lines) + "\n"
+
+
+def serialize_observations(dataset: Dataset) -> str:
+    return "\n".join([OBS_HEADER, *_observation_lines(dataset)]) + "\n"
 
 
 def write_observations(path, dataset: Dataset):
-    _atomic_write(path, serialize_observations(dataset))
+    _write_lines(path, OBS_HEADER, _observation_lines(dataset))
 
 
 def dataset_digest(dataset: Dataset) -> str:
@@ -251,7 +263,6 @@ class ModelRecord:
 
 def write_model(path, model: FittedModel, digest: str):
     lines = [
-        MODEL_FORMAT_TAG,
         f"mode {model.mode.value}",
         f"n_tasks {model.n_tasks}",
         "labels " + ",".join(model.dataset.labels),
@@ -262,7 +273,7 @@ def write_model(path, model: FittedModel, digest: str):
         f"data_digest {digest}",
         f"lml {_fmt(model.lml)}",
     ]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_lines(path, MODEL_FORMAT_TAG, lines)
 
 
 def read_model(path) -> ModelRecord:
@@ -317,144 +328,115 @@ def model_from_record(record: ModelRecord, dataset: Dataset) -> FittedModel:
 # Maps, predictions, truth grids
 # ---------------------------------------------------------------------------
 
+MAP_HEADER = "task,x_m,y_m,mean,variance"
+
+
+def _map_lines(maps):
+    grid = None
+    for pm in maps:
+        if pm.grid != grid:  # format each grid's cell centers once
+            grid = pm.grid
+            centers = [f"{x!r},{y!r}" for x, y in grid.cell_centers.tolist()]
+        for xy, m, v in zip(centers, pm.mean.tolist(), pm.variance.tolist()):
+            yield f"{pm.task.label},{xy},{m!r},{v!r}"
+
 
 def write_map_csv(path, maps: list[PropertyMap]):
-    lines = ["task,x_m,y_m,mean,variance"]
-    for pm in maps:
-        centers = pm.grid.cell_centers
-        for c in range(pm.grid.n_cells):
-            lines.append(
-                f"{pm.task.label},{_fmt(centers[c, 0])},{_fmt(centers[c, 1])},"
-                f"{_fmt(pm.mean[c])},{_fmt(pm.variance[c])}"
-            )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_lines(path, MAP_HEADER, _map_lines(maps))
 
 
 def write_asc(path, grid: GridSpec, values: np.ndarray):
     """ESRI ASCII grid: 6-line header, then rows north to south."""
     if values.shape != (grid.n_cells,):
         raise ValueError("value count does not match grid")
-    rows = values.reshape(grid.ny, grid.nx)
-    lines = [
+    rows = np.asarray(values, dtype=float).reshape(grid.ny, grid.nx)
+    header = "\n".join([
         f"ncols {grid.nx}",
         f"nrows {grid.ny}",
         f"xllcorner {_fmt(grid.bounds.xmin)}",
         f"yllcorner {_fmt(grid.bounds.ymin)}",
         f"cellsize {_fmt(grid.resolution)}",
         f"NODATA_value {_fmt(NODATA)}",
-    ]
-    for iy in range(grid.ny - 1, -1, -1):  # internal rows run south→north
-        lines.append(" ".join(_fmt(v) for v in rows[iy]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    ])
+    north_first = rows[::-1]  # internal rows run south→north
+    _write_lines(path, header, (" ".join(map(repr, r.tolist())) for r in north_first))
 
 
 def write_predictions(path, labels, result):
-    lines = ["task,x_m,y_m,mean,variance"]
-    for t, (x, y), m, v in zip(result.tasks, result.xy, result.mean, result.variance):
-        lines.append(f"{labels[t]},{_fmt(x)},{_fmt(y)},{_fmt(m)},{_fmt(v)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = zip(result.tasks, result.xy, result.mean, result.variance)
+    _write_lines(path, MAP_HEADER, (
+        f"{labels[t]},{_fmt(x)},{_fmt(y)},{_fmt(m)},{_fmt(v)}"
+        for t, (x, y), m, v in rows
+    ))
 
 
 def parse_queries(path, labels) -> tuple[np.ndarray, np.ndarray]:
     """Query CSV (``task,x_m,y_m``) → (task indices, xy array)."""
     label_to_idx = {lab: i for i, lab in enumerate(labels)}
     tasks, xy = [], []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["task", "x_m", "y_m"]:
-            raise ValueError("row 1: malformed header (expected task,x_m,y_m)")
-        for row_num, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"row {row_num}: expected 3 fields")
-            label, xs, ys = (c.strip() for c in row)
-            if label not in label_to_idx:
-                raise ValueError(f"row {row_num}: unknown task label {label!r}")
-            tasks.append(label_to_idx[label])
-            xy.append((_parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m")))
+    for row_num, (label, xs, ys) in _read_rows(path, "task,x_m,y_m"):
+        if label not in label_to_idx:
+            raise ValueError(f"row {row_num}: unknown task label {label!r}")
+        tasks.append(label_to_idx[label])
+        xy.append((_parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m")))
     if not tasks:
         raise ValueError("no queries in file")
     return np.array(tasks, dtype=np.intp), np.array(xy)
 
 
+TRUTH_HEADER = "task,x_m,y_m,value"
+
+
 def write_truth(path, labels, truth: GroundTruth):
-    lines = ["task,x_m,y_m,value"]
-    for i, lab in enumerate(labels):
-        for (x, y), v in zip(truth.xy, truth.values[i]):
-            lines.append(f"{lab},{_fmt(x)},{_fmt(y)},{_fmt(v)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_lines(path, TRUTH_HEADER, (
+        f"{lab},{_fmt(x)},{_fmt(y)},{_fmt(v)}"
+        for i, lab in enumerate(labels)
+        for (x, y), v in zip(truth.xy, truth.values[i])
+    ))
 
 
 def parse_truth(path, labels) -> GroundTruth:
     """Truth CSV (``task,x_m,y_m,value``); every task must cover the
     same points in the same order."""
     label_to_idx = {lab: i for i, lab in enumerate(labels)}
-    per_task_xy: dict[int, list] = {i: [] for i in range(len(labels))}
-    per_task_v: dict[int, list] = {i: [] for i in range(len(labels))}
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["task", "x_m", "y_m", "value"]:
-            raise ValueError("row 1: malformed header (expected task,x_m,y_m,value)")
-        for row_num, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"row {row_num}: expected 4 fields")
-            label, xs, ys, vs = (c.strip() for c in row)
-            if label not in label_to_idx:
-                raise ValueError(f"row {row_num}: unknown task label {label!r}")
-            i = label_to_idx[label]
-            per_task_xy[i].append(
-                (_parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m"))
-            )
-            v = _parse_float(vs, row_num, "value")
-            if not np.isfinite(v):
-                raise ValueError(f"row {row_num}: non-finite value {vs!r}")
-            per_task_v[i].append(v)
-    counts = {i: len(v) for i, v in per_task_v.items()}
-    if min(counts.values()) == 0:
-        missing = [labels[i] for i, c in counts.items() if c == 0]
+    per_task: list[list] = [[] for _ in labels]  # (x, y, value) rows
+    for row_num, (label, xs, ys, vs) in _read_rows(path, TRUTH_HEADER):
+        if label not in label_to_idx:
+            raise ValueError(f"row {row_num}: unknown task label {label!r}")
+        x, y = _parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m")
+        v = _parse_float(vs, row_num, "value")
+        if not np.isfinite(v):
+            raise ValueError(f"row {row_num}: non-finite value {vs!r}")
+        per_task[label_to_idx[label]].append((x, y, v))
+    missing = [lab for lab, rows in zip(labels, per_task) if not rows]
+    if missing:
         raise ValueError(f"truth grid missing tasks: {missing}")
-    xy0 = np.array(per_task_xy[0])
-    for i in range(1, len(labels)):
-        if counts[i] != counts[0] or not np.array_equal(np.array(per_task_xy[i]), xy0):
-            raise ValueError("truth tasks do not share one point set")
-    values = np.array([per_task_v[i] for i in range(len(labels))])
-    return GroundTruth(xy0, values)
+    tables = [np.array(rows) for rows in per_task]
+    xy0 = tables[0][:, :2].copy()
+    if not all(np.array_equal(t[:, :2], xy0) for t in tables[1:]):
+        raise ValueError("truth tasks do not share one point set")
+    return GroundTruth(xy0, np.array([t[:, 2] for t in tables]))
 
 
 # ---------------------------------------------------------------------------
 # Plans and boundaries
 # ---------------------------------------------------------------------------
 
+PLAN_HEADER = "sample_id,x_m,y_m"
+
 
 def write_plan(path, plan: SamplePlan):
     width = max(2, len(str(len(plan.points))))
-    lines = ["sample_id,x_m,y_m"]
-    for j, p in enumerate(plan.points):
-        lines.append(f"S{j + 1:0{width}d},{_fmt(p.x)},{_fmt(p.y)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_lines(path, PLAN_HEADER, (
+        f"S{j + 1:0{width}d},{_fmt(p.x)},{_fmt(p.y)}" for j, p in enumerate(plan.points)
+    ))
 
 
 def parse_plan(path) -> list[Location]:
-    points = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["sample_id", "x_m", "y_m"]:
-            raise ValueError("row 1: malformed header (expected sample_id,x_m,y_m)")
-        for row_num, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"row {row_num}: expected 3 fields")
-            _, xs, ys = (c.strip() for c in row)
-            points.append(
-                Location(_parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m"))
-            )
+    points = [
+        Location(_parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m"))
+        for row_num, (_, xs, ys) in _read_rows(path, PLAN_HEADER)
+    ]
     if not points:
         raise ValueError("empty plan")
     return points
@@ -464,29 +446,17 @@ def parse_boundary(path) -> FieldBoundary:
     """Boundary CSV (``ring,x_m,y_m``): ring 0 is the field outline,
     rings 1.. are exclusion zones; vertices in file order."""
     rings: dict[int, list] = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["ring", "x_m", "y_m"]:
-            raise ValueError("row 1: malformed header (expected ring,x_m,y_m)")
-        for row_num, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"row {row_num}: expected 3 fields")
-            rs, xs, ys = (c.strip() for c in row)
-            try:
-                ring = int(rs)
-            except ValueError:
-                raise ValueError(f"row {row_num}: column ring: not an integer: {rs!r}")
-            rings.setdefault(ring, []).append(
-                (_parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m"))
-            )
+    for row_num, (rs, xs, ys) in _read_rows(path, "ring,x_m,y_m"):
+        try:
+            ring = int(rs)
+        except ValueError:
+            raise ValueError(f"row {row_num}: column ring: not an integer: {rs!r}")
+        rings.setdefault(ring, []).append(
+            (_parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m"))
+        )
     if 0 not in rings:
         raise ValueError("boundary file has no ring 0 (field outline)")
-    exclusions = tuple(
-        tuple(rings[k]) for k in sorted(rings) if k != 0
-    )
+    exclusions = tuple(tuple(rings[k]) for k in sorted(rings) if k != 0)
     return FieldBoundary(tuple(rings[0]), exclusions)
 
 
@@ -496,26 +466,26 @@ def parse_boundary(path) -> FieldBoundary:
 
 
 def write_rmse_curves(path, labels, curves: list[RmseCurves]):
-    lines = ["method,task,k,rmse"]
-    for cur in curves:
-        for i, lab in enumerate(labels):
-            for k, v in cur.curve(i):
-                lines.append(f"{cur.method},{lab},{k},{_fmt(v)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_lines(path, "method,task,k,rmse", (
+        f"{cur.method},{lab},{k},{_fmt(v)}"
+        for cur in curves
+        for i, lab in enumerate(labels)
+        for k, v in cur.curve(i)
+    ))
 
 
 def write_trajectory(path, labels, traj: CorrelationTrajectory):
-    lines = ["task_i,task_j,k,r"]
-    for col, (i, j) in enumerate(traj.pairs):
-        for k, v in zip(traj.ks, traj.values[:, col]):
-            lines.append(f"{labels[i]},{labels[j]},{k},{_fmt(v)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_lines(path, "task_i,task_j,k,r", (
+        f"{labels[i]},{labels[j]},{k},{_fmt(v)}"
+        for col, (i, j) in enumerate(traj.pairs)
+        for k, v in zip(traj.ks, traj.values[:, col])
+    ))
 
 
 def write_correlation_matrix(path, labels, corr: np.ndarray):
-    lines = ["task_i,task_j,r"]
     n = len(labels)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lines.append(f"{labels[i]},{labels[j]},{_fmt(corr[i, j])}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_lines(path, "task_i,task_j,r", (
+        f"{labels[i]},{labels[j]},{_fmt(corr[i, j])}"
+        for i in range(n)
+        for j in range(i + 1, n)
+    ))

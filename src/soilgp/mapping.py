@@ -48,6 +48,8 @@ class GridSpec:
             raise ValueError(f"grid bounds {b} and resolution must be finite")
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
+        if not np.isfinite([b.width / self.resolution, b.height / self.resolution]).all():
+            raise ValueError(f"cell count at resolution {self.resolution} is not finite")
         if self.nx < 1 or self.ny < 1:
             raise ValueError(
                 f"grid has zero cells: bounds {self.bounds} at resolution "

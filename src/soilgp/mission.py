@@ -15,6 +15,7 @@ from .data import Location
 
 __all__ = [
     "MAX_DRILL_DEPTH_MM",
+    "MAX_PLAN_NODES",
     "DrillSpec",
     "FieldBoundary",
     "SamplePlan",
@@ -25,6 +26,8 @@ __all__ = [
 
 # Hardware travel limit of the drill actuator.
 MAX_DRILL_DEPTH_MM = 243.0
+# Largest bounding-box lattice grid_plan walks; it tests each node in Python.
+MAX_PLAN_NODES = 10**6
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,9 @@ def _validate_simple_polygon(poly, what: str):
         raise ValueError(f"{what} needs at least 3 vertices")
     if not all(math.isfinite(c) for p in poly for c in p):
         raise ValueError(f"{what} has a non-finite vertex")
+    for axis in zip(*poly):
+        if not math.isfinite(max(axis) - min(axis)):
+            raise ValueError(f"{what} has a non-finite coordinate extent")
     if abs(_polygon_area2(poly)) < 1e-12:
         raise ValueError(f"{what} is degenerate (zero area)")
     n = len(poly)
@@ -185,8 +191,12 @@ def grid_plan(boundary: FieldBoundary, spacing: float) -> SamplePlan:
     if not (spacing > 0 and math.isfinite(spacing)):
         raise ValueError("spacing must be positive and finite")
     xmin, ymin, xmax, ymax = boundary.bounding_box()
-    nx = int(math.floor((xmax - xmin) / spacing + 1e-9)) + 1
-    ny = int(math.floor((ymax - ymin) / spacing + 1e-9)) + 1
+    steps = ((xmax - xmin) / spacing, (ymax - ymin) / spacing)
+    if not all(map(math.isfinite, steps)):
+        raise ValueError(f"lattice node count at {spacing} m spacing is not finite")
+    nx, ny = (math.floor(s + 1e-9) + 1 for s in steps)
+    if nx * ny > MAX_PLAN_NODES:
+        raise ValueError(f"{nx} x {ny} lattice exceeds {MAX_PLAN_NODES} nodes")
 
     points = []
     for iy in range(ny):

@@ -156,6 +156,51 @@ class TestNonFiniteInputs:
         assert "theta dimension mismatch" in err
 
 
+FIELD = "ring,x_m,y_m\n0,0,0\n0,300,0\n0,300,170\n0,0,170\n"
+
+
+class TestOversizedCounts:
+    """Counts that overflow a float, or lattices too large to walk, exit 2."""
+
+    def test_map_resolution(self, capsys, tmp_path, fitted):
+        obs, model = fitted
+        code, _, err = run(
+            capsys, "map", "--model", str(model), "--obs", str(obs),
+            "--out-dir", str(tmp_path / "maps"), "--resolution", "1e-310",
+        )
+        assert code == EXIT_DATA
+        assert "not finite" in err
+        assert not (tmp_path / "maps").exists()
+
+    def test_synth_truth_resolution(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "synth", "--out", str(tmp_path / "o.csv"),
+            "--truth-out", str(tmp_path / "t.csv"), "--truth-resolution", "1e-310",
+        )
+        assert code == EXIT_DATA
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("spacing, reason", [
+        ("1e-310", "not finite"), ("0.01", "30001 x 17001 lattice exceeds"),
+    ], ids=["overflow", "over-cap"])
+    def test_plan_spacing(self, capsys, tmp_path, spacing, reason):
+        bound = tmp_path / "bound.csv"
+        bound.write_text(FIELD)
+        code, out, err = run(capsys, "plan", "--boundary", str(bound),
+                             "--spacing", spacing, "--out", str(tmp_path / "plan.csv"))
+        assert code == EXIT_DATA
+        assert reason in err and not out
+
+    def test_plan_boundary_extent(self, capsys, tmp_path):
+        bound = tmp_path / "bound.csv"
+        bound.write_text("ring,x_m,y_m\n0,-1e308,0\n0,1.7e308,0\n0,1.7e308,1\n"
+                         "0,-1e308,1\n")
+        code, _, err = run(capsys, "plan", "--boundary", str(bound),
+                           "--spacing", "1e300", "--out", str(tmp_path / "plan.csv"))
+        assert code == EXIT_DATA
+        assert "non-finite coordinate extent" in err
+
+
 class TestSynth:
     def test_default_draw(self, capsys, tmp_path):
         out = tmp_path / "obs.csv"

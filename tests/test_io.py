@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soilgp.data import Rect
+from soilgp import io
+from soilgp.data import Rect, TaskId
 from soilgp.gp import FitConfig, fit
 from soilgp.io import (
     RunConfig,
@@ -15,13 +20,14 @@ from soilgp.io import (
     parse_truth,
     read_model,
     write_asc,
+    write_map_csv,
     write_model,
     write_observations,
     write_plan,
     write_truth,
 )
 from soilgp.kernels import KernelMode
-from soilgp.mapping import GridSpec, GroundTruth
+from soilgp.mapping import GridSpec, GroundTruth, PropertyMap
 from soilgp.mission import FieldBoundary, grid_plan
 from soilgp.synthetic import SyntheticField, draw_field
 
@@ -292,3 +298,159 @@ class TestTruthAndQueries:
         p.write_text("task,x_m,y_m\nzinc,0,0\n")
         with pytest.raises(ValueError, match="row 2.*zinc"):
             parse_queries(p, ("a", "b"))
+
+
+# Values whose shortest repr is easy to get wrong: signed zero, subnormals,
+# the switch to exponent notation at 1e16, and values near underflow.
+AWKWARD = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16,
+           9999999999999998.0, 1e-300, -1e-300, 0.1, -1.5e300]
+FLOATS = st.one_of(
+    st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def _reference_asc(grid, values):
+    """The writers' format, one ``repr(float(v))`` per value."""
+    lines = [f"ncols {grid.nx}", f"nrows {grid.ny}",
+             f"xllcorner {float(grid.bounds.xmin)!r}",
+             f"yllcorner {float(grid.bounds.ymin)!r}",
+             f"cellsize {float(grid.resolution)!r}", "NODATA_value -9999.0"]
+    rows = values.reshape(grid.ny, grid.nx)
+    for iy in range(grid.ny - 1, -1, -1):
+        lines.append(" ".join(repr(float(v)) for v in rows[iy]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_map_csv(maps):
+    lines = ["task,x_m,y_m,mean,variance"]
+    for pm in maps:
+        c = pm.grid.cell_centers
+        for k in range(pm.grid.n_cells):
+            vals = (c[k, 0], c[k, 1], pm.mean[k], pm.variance[k])
+            lines.append(",".join([pm.task.label] + [repr(float(v)) for v in vals]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def grids(draw):
+    res = draw(st.sampled_from([0.1, 1.0, 2.5, 7.0, 1e-3]))
+    xmin = draw(st.floats(-1e6, 1e6, allow_nan=False))
+    ymin = draw(st.sampled_from([-0.0, 0.0, 1e-300, 12.25]))
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return GridSpec(Rect(xmin, ymin, xmin + (nx + 0.5) * res, ymin + (ny + 0.5) * res), res)
+
+
+def _values(draw, n):
+    return np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float)
+
+
+class TestWriterBytes:
+    """The fast map writers give the same bytes as per-value formatting."""
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_asc_matches_per_value_repr(self, tmp_path_factory, data):
+        grid = data.draw(grids())
+        values = _values(data.draw, grid.n_cells)
+        p = tmp_path_factory.mktemp("asc") / "t.asc"
+        write_asc(p, grid, values)
+        assert p.read_bytes() == _reference_asc(grid, values).encode()
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_map_csv_matches_per_value_repr_across_grids(self, tmp_path_factory, data):
+        a, b = data.draw(grids()), data.draw(grids())
+        maps = []
+        # grid a, then b, then a again: centers must follow each map's grid
+        for i, grid in enumerate([a, b, a]):
+            mean = _values(data.draw, grid.n_cells)
+            var = np.abs(_values(data.draw, grid.n_cells))
+            maps.append(PropertyMap(TaskId(i, f"t{i}"), grid, mean, var, True))
+        p = tmp_path_factory.mktemp("map") / "map.csv"
+        write_map_csv(p, maps)
+        assert p.read_bytes() == _reference_map_csv(maps).encode()
+
+
+READERS = [
+    # (reader, header, data rows, error an empty file gives)
+    (parse_observations, io.OBS_HEADER, ["S01,0,0,pH,6.5", "S01,0,0,N,21"],
+     "empty dataset"),
+    (lambda p: parse_queries(p, ("pH",)), "task,x_m,y_m", ["pH,0,0", "pH,1.5,2"],
+     "no queries"),
+    (lambda p: parse_truth(p, ("pH",)), "task,x_m,y_m,value", ["pH,0,0,1", "pH,1,0,2"],
+     "missing tasks"),
+    (parse_plan, "sample_id,x_m,y_m", ["S01,0,0", "S02,45,0"], "empty plan"),
+    (parse_boundary, "ring,x_m,y_m", ["0,0,0", "0,10,0", "0,0,10"], "no ring 0"),
+]
+READER_IDS = ["observations", "queries", "truth", "plan", "boundary"]
+
+
+def _plain(result):
+    """A reader's result in a form == can compare."""
+    if isinstance(result, GroundTruth):
+        return result.xy.tolist(), result.values.tolist()
+    if isinstance(result, tuple) and isinstance(result[0], np.ndarray):
+        return [a.tolist() for a in result]
+    return result
+
+
+@pytest.mark.parametrize("reader, header, rows, empty_error", READERS, ids=READER_IDS)
+class TestOneReader:
+    """Every CSV reader shares the header, field-count and blank-row rules."""
+
+    def test_wrong_header_names_row_1_and_expected_header(
+            self, tmp_path, reader, header, rows, empty_error):
+        p = tmp_path / "f.csv"
+        p.write_text("\n".join(["x_m,y_m,task"] + rows) + "\n")
+        expected = f"row 1: malformed header 'x_m,y_m,task' (expected {header!r})"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            reader(p)
+
+    def test_short_row_names_its_row(self, tmp_path, reader, header, rows, empty_error):
+        n = len(header.split(","))
+        short = rows[0].rsplit(",", 1)[0]
+        p = tmp_path / "f.csv"
+        # header, a data row, a blank line (still counted), then the short row
+        p.write_text("\n".join([header, rows[0], "", short]) + "\n")
+        with pytest.raises(ValueError, match=f"row 4: expected {n} fields, got {n - 1}"):
+            reader(p)
+
+    def test_blank_lines_skipped(self, tmp_path, reader, header, rows, empty_error):
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        plain.write_text("\n".join([header] + rows) + "\n")
+        padded.write_text("\r\n".join([header, ""] + [f"{r}\n   " for r in rows] + [""]))
+        assert _plain(reader(padded)) == _plain(reader(plain))
+
+    def test_empty_file_gives_the_readers_own_error(
+            self, tmp_path, reader, header, rows, empty_error):
+        p = tmp_path / "f.csv"
+        for text in ("", header + "\n\n"):
+            p.write_text(text)
+            with pytest.raises(ValueError, match=empty_error):
+                reader(p)
+
+
+class TestStreamingWrite:
+    def test_failure_mid_write_keeps_old_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        streamed = []
+
+        def lines():
+            for _ in range(100_000):  # 2 MB, well past the write buffers
+                yield "x" * 20
+            (tmp,) = [f for f in tmp_path.iterdir() if f != target]
+            streamed.append(tmp.stat().st_size)
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            io._write_lines(target, "h", lines())
+        assert streamed and streamed[0] > 1_000_000  # lines reached the temp file
+        assert target.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_digest_text_equals_written_file(self, obs_file, tmp_path):
+        ds = parse_observations(obs_file)
+        out = tmp_path / "again.csv"
+        write_observations(out, ds)
+        assert out.read_text() == io.serialize_observations(ds) == OBS_TEXT

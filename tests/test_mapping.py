@@ -69,6 +69,15 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="finite"):
             GridSpec(Rect(*bounds), resolution)
 
+    @pytest.mark.parametrize(
+        "bounds, resolution",
+        [((0, 0, 300, 170), 1e-310), ((0, 0, 300, 170), 5e-324),
+         ((-1e308, 0, 1.7e308, 170), 1.0), ((0, -1e308, 300, 1.7e308), 1.0)],
+    )
+    def test_overflowing_cell_count_rejected(self, bounds, resolution):
+        with pytest.raises(ValueError, match="cell count .* is not finite"):
+            GridSpec(Rect(*bounds), resolution)
+
 
 class TestPredictMap:
     def test_single_cell_equals_point_predict(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soilgp import mission
 from soilgp.mission import (
     MAX_DRILL_DEPTH_MM,
     DrillSpec,
@@ -106,6 +107,15 @@ class TestFieldBoundary:
         with pytest.raises(ValueError, match="exclusion polygon 0 has a non-finite"):
             FieldBoundary(SQUARE, (((40.0, 40.0), (60.0, bad), (50.0, 60.0)),))
 
+    def test_overflowing_extent_named_not_self_intersection(self):
+        # finite vertices whose x extent 2.7e308 overflows to inf
+        wide = ((-1e308, 0.0), (1.7e308, 0.0), (1.7e308, 1.0), (-1e308, 1.0))
+        with pytest.raises(ValueError, match="boundary polygon has a non-finite coordinate"):
+            FieldBoundary(wide)
+        tall = tuple((y, x) for x, y in wide)
+        with pytest.raises(ValueError, match="exclusion polygon 0 has a non-finite coordinate"):
+            FieldBoundary(SQUARE, (tall,))
+
     def test_concave_polygon(self):
         # L-shape: the notch is outside
         L = ((0.0, 0.0), (10.0, 0.0), (10.0, 4.0), (4.0, 4.0), (4.0, 10.0), (0.0, 10.0))
@@ -158,6 +168,29 @@ class TestGridPlan:
             for j in range(i + 1, len(pts)):
                 d = math.hypot(*(pts[i] - pts[j]))
                 assert d >= plan.spacing - 1e-6
+
+    @pytest.mark.parametrize("spacing", [1e-310, 5e-324])
+    def test_non_finite_node_count_rejected(self, spacing):
+        with pytest.raises(ValueError, match="node count .* is not finite"):
+            grid_plan(FieldBoundary(SQUARE), spacing)
+
+    def test_lattice_above_node_cap_refused_before_walking(self, monkeypatch):
+        def never(self, x, y):
+            raise AssertionError("lattice walked")
+
+        field = FieldBoundary(((0.0, 0.0), (300.0, 0.0), (300.0, 170.0), (0.0, 170.0)))
+        monkeypatch.setattr(FieldBoundary, "contains", never)
+        # 0.01 m: 30001 x 17001 nodes; 0.001 m: 5.1e10
+        for spacing in (0.01, 0.001):
+            with pytest.raises(ValueError, match="lattice exceeds 1000000 nodes"):
+                grid_plan(field, spacing)
+
+    def test_node_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(mission, "MAX_PLAN_NODES", 9)  # 3 x 3 lattice at 45 m
+        assert len(grid_plan(FieldBoundary(SQUARE), 45.0).points) == 9
+        monkeypatch.setattr(mission, "MAX_PLAN_NODES", 8)
+        with pytest.raises(ValueError, match="3 x 3 lattice exceeds 8 nodes"):
+            grid_plan(FieldBoundary(SQUARE), 45.0)
 
     def test_invalid_spacing(self):
         for spacing in (0.0, math.inf, math.nan):
