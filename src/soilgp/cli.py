@@ -57,14 +57,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# help metavar of both --mode flags, which parse through KernelMode.parse
+_MODE_METAVAR = "{" + ",".join(KernelMode.names()) + "}"
+
+
 def _add_fit_flags(p):
     p.add_argument("--config", help="run-config file (key=value lines)")
     for f in fields(FitConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name == "mode":  # exact names here, converted in _resolve_config
-            p.add_argument(flag, choices=KernelMode.names())
-        else:
-            p.add_argument(flag, type=SETTING_PARSERS[f.name])
+        parse = SETTING_PARSERS[f.name]
+        p.add_argument("--" + f.name.replace("_", "-"), type=parse,
+                       metavar=_MODE_METAVAR if parse == KernelMode.parse else None)
 
 
 def _resolve_config(args) -> RunConfig:
@@ -74,7 +76,7 @@ def _resolve_config(args) -> RunConfig:
         v = getattr(args, key, None)
         # by identity: an unset flag is None or False, and --seed 0 == False
         if v is not None and v is not False:
-            settings[key] = KernelMode(v) if key == "mode" else v
+            settings[key] = v
     return RunConfig.from_settings(settings)
 
 
@@ -133,8 +135,8 @@ def build_parser() -> _Parser:
     p.add_argument("--corr", action="append",
                    help="inter-task correlation as LABEL,LABEL=r "
                         "(repeatable; default: first two tasks at 0.9)")
-    p.add_argument("--mode", choices=KernelMode.names(),
-                   default=KernelMode.CONVOLVED.value)
+    p.add_argument("--mode", type=KernelMode.parse, metavar=_MODE_METAVAR,
+                   default=KernelMode.CONVOLVED)
     p.add_argument("--plan", help="take sample locations from a plan CSV")
     p.add_argument("--truth-out", help="also write a noise-free truth grid CSV")
     p.add_argument("--truth-resolution", type=float, default=20.0)
@@ -243,7 +245,7 @@ def _comma_floats(raw, n, what):
 def _cmd_synth(args):
     labels = tuple(s.strip() for s in args.labels.split(","))
     n = len(labels)
-    mode = KernelMode.parse(args.mode)
+    mode = args.mode
     locations = parse_plan(args.plan) if args.plan else None
     n_samples = len(locations) if locations is not None else args.n_samples
     variances = _comma_floats(args.variances, n, "variances") if args.variances \

@@ -6,7 +6,10 @@ observed at planar locations:
 * ``ICM`` — intrinsic coregionalization: a single shared Matérn 3/2
   spatial kernel, scaled per task pair by a free-form task covariance
   ``Kc = L @ L.T``. For homotopic, task-major-ordered data the joint
-  matrix is exactly the Kronecker product ``Kc ⊗ Ks``.
+  matrix is exactly the Kronecker product ``Kc ⊗ Ks``, and homotopic
+  ICM fits of two or more tasks run on that structure: the objective in
+  :mod:`soilgp.gp` eigendecomposes the noise-whitened ``Kc`` and ``Ks``
+  separately instead of factoring the joint matrix.
 * ``CONVOLVED`` — each task keeps its own Matérn 3/2 length-scale and
   cross-task covariances take the closed form of the convolution of the
   per-task basis functions on a line, applied to planar distances. On a

@@ -17,6 +17,7 @@ from .data import Dataset, Rect, TaskId, prefix
 from .gp import FitConfig, FittedModel, fit, fit_stgp, predict_tasks, task_correlations
 
 __all__ = [
+    "MAX_GRID_CELLS",
     "GridSpec",
     "PropertyMap",
     "GroundTruth",
@@ -29,6 +30,10 @@ __all__ = [
 ]
 
 EVAL_METHODS = ("mtgp", "stgp")
+
+# Largest grid a GridSpec describes: ten times the largest maps in use
+# (10⁶ cells); its cell centers alone take 160 MB.
+MAX_GRID_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,11 @@ class GridSpec:
             raise ValueError("resolution must be positive")
         if not np.isfinite([b.width / self.resolution, b.height / self.resolution]).all():
             raise ValueError(f"cell count at resolution {self.resolution} is not finite")
+        if self.n_cells > MAX_GRID_CELLS:
+            raise ValueError(
+                f"{self.nx} x {self.ny} grid at resolution {self.resolution} exceeds "
+                f"{MAX_GRID_CELLS} cells"
+            )
         if self.nx < 1 or self.ny < 1:
             raise ValueError(
                 f"grid has zero cells: bounds {self.bounds} at resolution "

@@ -113,11 +113,31 @@ def random_instance(seed, n_tasks=None, max_points=8, mode=None, noise_lo=1e-3):
         loc = Location(float(rng.uniform(0, 60)), float(rng.uniform(0, 60)))
         obs.append(Observation(f"S{j + 1:02d}", loc, int(t), float(rng.normal())))
     ds = make_dataset(obs, n)
+    return ds, random_theta(rng, n, mode, noise_lo)
 
-    dim = theta_dim(n, mode)
+
+def homotopic_instance(seed, n_tasks, shuffled=False, mode=KernelMode.ICM):
+    """Seeded homotopic dataset (every location carries every task once,
+    sample-major or in shuffled row order) plus a valid random theta."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 7))
+    obs = []
+    for j in range(m):
+        loc = Location(float(rng.uniform(0, 60)), float(rng.uniform(0, 60)))
+        for t in range(n_tasks):
+            obs.append(Observation(f"S{j + 1:02d}", loc, t, float(rng.normal())))
+    if shuffled:
+        obs = [obs[k] for k in rng.permutation(len(obs))]
+    ds = make_dataset(obs, n_tasks)
+    return ds, random_theta(rng, n_tasks, mode, 1e-3)
+
+
+def random_theta(rng, n, mode, noise_lo):
+    """A valid random theta: a near-identity task factor, length-scales
+    of 3-60 m and noise variances from ``noise_lo`` to 0.5."""
     n_tri = n * (n + 1) // 2
     n_ls = 1 if mode is KernelMode.ICM else n
-    vec = np.empty(dim)
+    vec = np.empty(theta_dim(n, mode))
     k = 0
     for a in range(n):
         for b in range(a + 1):
@@ -125,7 +145,7 @@ def random_instance(seed, n_tasks=None, max_points=8, mode=None, noise_lo=1e-3):
             k += 1
     vec[n_tri : n_tri + n_ls] = rng.uniform(np.log(3), np.log(60), size=n_ls)
     vec[n_tri + n_ls :] = rng.uniform(np.log(noise_lo), np.log(0.5), size=n)
-    return ds, HyperParams(vec, n, mode)
+    return HyperParams(vec, n, mode)
 
 
 @pytest.fixture

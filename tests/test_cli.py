@@ -1,10 +1,11 @@
 import pytest
 
-from soilgp import cli
+from soilgp import cli, synthetic
 from soilgp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from soilgp.gp import FitConfig
 from soilgp.io import parse_observations
 from soilgp.kernels import KernelMode
+from soilgp.mapping import MAX_GRID_CELLS, GridSpec
 
 
 def run(capsys, *argv):
@@ -206,6 +207,33 @@ class TestOversizedCounts:
         assert code == EXIT_DATA
         assert "not finite" in err
 
+    def test_map_grid_over_cap(self, capsys, tmp_path, fitted, monkeypatch):
+        def allocated(grid):
+            raise AssertionError("cell centers built for a refused grid")
+
+        monkeypatch.setattr(GridSpec, "cell_centers", property(allocated))
+        obs, model = fitted
+        code, _, err = run(
+            capsys, "map", "--model", str(model), "--obs", str(obs),
+            "--out-dir", str(tmp_path / "maps"), "--resolution", "0.001",
+        )
+        assert code == EXIT_DATA
+        assert f"exceeds {MAX_GRID_CELLS} cells" in err
+        assert not (tmp_path / "maps").exists()
+
+    def test_synth_joint_draw_over_cap(self, capsys, tmp_path, monkeypatch):
+        def assembled(*args):
+            raise AssertionError("covariance assembled for a refused draw")
+
+        monkeypatch.setattr(synthetic, "assemble_training_cov", assembled)
+        code, out, err = run(
+            capsys, "synth", "--out", str(tmp_path / "o.csv"),
+            "--truth-out", str(tmp_path / "t.csv"), "--truth-resolution", "1",
+        )
+        assert code == EXIT_DATA
+        assert "(30 samples + 51000 truth points) x 4 tasks = 204120 exceeds" in err
+        assert not out and not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("spacing, reason", [
         ("1e-310", "not finite"), ("0.01", "30001 x 17001 lattice exceeds"),
     ], ids=["overflow", "over-cap"])
@@ -225,6 +253,41 @@ class TestOversizedCounts:
                            "--spacing", "1e300", "--out", str(tmp_path / "plan.csv"))
         assert code == EXIT_DATA
         assert "non-finite coordinate extent" in err
+
+
+class TestModeFlag:
+    """Both --mode flags parse through KernelMode.parse, like the config file."""
+
+    def test_fit_mode_any_case(self, capsys, tmp_path, fitted):
+        obs, _ = fitted
+        models = []
+        for spelling in ("icm", "ICM"):
+            out = tmp_path / f"{spelling}.txt"
+            code, _, _ = run(capsys, "fit", "--obs", str(obs), "--out", str(out),
+                             "--mode", spelling, "--restarts", "1", "--max-iters", "30")
+            assert code == EXIT_OK
+            models.append(out.read_bytes())
+        assert b"\nmode icm\n" in models[0]
+        assert models[0] == models[1]
+
+    def test_synth_mode_any_case(self, capsys, tmp_path):
+        draws = []
+        for spelling in ("icm", " Icm "):
+            out = tmp_path / f"{spelling.strip()}.csv"
+            code, _, _ = run(capsys, "synth", "--out", str(out), "--mode", spelling,
+                             "--lengthscales", "40", "--seed", "2")
+            assert code == EXIT_OK
+            draws.append(out.read_bytes())
+        assert draws[0] == draws[1]
+
+    @pytest.mark.parametrize("command", ["fit", "synth"])
+    def test_unknown_mode_is_usage_error(self, capsys, tmp_path, command):
+        argv = [command, "--out", str(tmp_path / "o"), "--mode", "bogus"]
+        if command == "fit":
+            argv += ["--obs", str(tmp_path / "obs.csv")]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "--mode" in err and "'bogus'" in err
 
 
 class TestSynth:

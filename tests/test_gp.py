@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -10,6 +12,7 @@ from conftest import (
     ULP_LENGTHSCALE,
     dense_lml_oracle,
     fd_gradient_oracle,
+    homotopic_instance,
     random_instance,
     reference_prediction,
 )
@@ -131,6 +134,139 @@ class TestObjectiveCovariance:
         expected = assemble_training_cov(ds.task_index, ds.xy, L @ L.T, ls, noise, mode)
         assert len(factored) == 1
         assert np.array_equal(factored[0], expected)
+
+
+class TestKroneckerPath:
+    """Homotopic ICM inputs of two or more tasks take the Kronecker
+    eigen-path; its LML and gradient meet the criterion-4 and criterion-5
+    bounds and agree with the dense path to rounding."""
+
+    ORDERS = pytest.mark.parametrize("shuffled", [False, True],
+                                     ids=["sample_major", "shuffled"])
+    TASKS = pytest.mark.parametrize("n", [2, 3, 4])
+
+    @staticmethod
+    def dense(ds, theta):
+        prob = gp_module._Problem(ds)
+        lml, state = prob.value(theta.values, theta.mode, gp_module.NOISE_FLOOR)
+        if lml == gp_module.REJECTED:
+            return lml, None
+        return lml, prob.gradient(state, theta.values, theta.mode, gp_module.NOISE_FLOOR)
+
+    @staticmethod
+    def factorizations(monkeypatch):
+        calls = []
+
+        def spy(K, *args):
+            calls.append(K.shape)
+            return chol_with_jitter(K, *args)
+
+        monkeypatch.setattr(gp_module, "chol_with_jitter", spy)
+        return calls
+
+    @ORDERS
+    @TASKS
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lml_matches_dense_oracle(self, monkeypatch, seed, n, shuffled):
+        ds, theta = homotopic_instance(400 + seed, n, shuffled)
+        calls = self.factorizations(monkeypatch)
+        lml = log_marginal_likelihood(theta, ds)
+        assert calls == []  # no dense Cholesky: the Kronecker path ran
+        assert lml == pytest.approx(dense_lml_oracle(theta, ds), abs=1e-8)
+
+    @ORDERS
+    @TASKS
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_matches_fd_oracle(self, seed, n, shuffled):
+        ds, theta = homotopic_instance(500 + seed, n, shuffled)
+        analytic = lml_gradient(theta, ds)
+        oracle = fd_gradient_oracle(
+            lambda v: log_marginal_likelihood(HyperParams(v, n, KernelMode.ICM), ds),
+            theta.values,
+        )
+        assert np.linalg.norm(analytic - oracle) <= 1e-4 * np.linalg.norm(oracle)
+
+    @ORDERS
+    @TASKS
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_dense_path(self, seed, n, shuffled):
+        ds, theta = homotopic_instance(600 + seed, n, shuffled)
+        lml, grad = self.dense(ds, theta)
+        assert abs(log_marginal_likelihood(theta, ds) - lml) <= 1e-10 * abs(lml)
+        diff = np.linalg.norm(lml_gradient(theta, ds) - grad)
+        assert diff <= 1e-10 * np.linalg.norm(grad)
+
+    # (log L11, L21, log L22) of a task factor whose stored product
+    # Kc = fl(L Lᵀ) is indefinite: c² > ab, checked exactly below.
+    INDEFINITE = (29.12520648375756, 134.40206424733452, -100.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rejects_where_the_dense_ladder_rejects(self, n):
+        # Kc ~ 1e25 over a spatial kernel that is constant in floating point
+        # (l = e^200), with noise at the 1e-8 floor: on most layouts no
+        # jitter rung makes the covariance factorable, and on each layout
+        # both paths must decide alike.
+        L = np.diag(np.exp([self.INDEFINITE[0], self.INDEFINITE[2]]))
+        L[1, 0] = self.INDEFINITE[1]
+        Kc = L @ L.T
+        a, b, c = (Fraction(float(x)) for x in (Kc[0, 0], Kc[1, 1], Kc[0, 1]))
+        assert c * c > a * b  # the premise: the stored Kc is indefinite
+        dense, kron = [], []
+        for seed in range(12):
+            ds, theta = homotopic_instance(700 + seed, n)
+            v = np.zeros_like(theta.values)
+            v[:3] = self.INDEFINITE
+            n_tri = n * (n + 1) // 2
+            v[n_tri] = 200.0
+            v[n_tri + 1 :] = np.log(1e-8)
+            theta = HyperParams(v, n, KernelMode.ICM)
+            dense.append(self.dense(ds, theta)[0] == gp_module.REJECTED)
+            kron.append(log_marginal_likelihood(theta, ds) == gp_module.REJECTED)
+            if kron[-1]:
+                with pytest.raises(gp_module.NumericFailure):
+                    lml_gradient(theta, ds)
+        assert sum(dense) >= 6  # the dense ladder rejects most of them
+        assert kron == dense
+
+    def test_rejects_theta_above_the_cap(self):
+        ds, theta = homotopic_instance(710, 2)
+        v = theta.values.copy()
+        v[3] = gp_module._THETA_CAP + 1.0  # log length-scale
+        prob = gp_module._objective(ds, KernelMode.ICM)
+        assert prob.value(v, KernelMode.ICM, gp_module.NOISE_FLOOR)[0] == gp_module.REJECTED
+
+    def drop_one(self, ds):
+        return make_dataset(ds.observations[1:], ds.n_tasks, ds.labels)
+
+    def twice(self, ds):
+        return make_dataset(ds.observations + ds.observations[:1], ds.n_tasks, ds.labels)
+
+    @pytest.mark.parametrize("case", ["convolved", "heterotopic", "repeated", "one_task"])
+    def test_other_inputs_take_the_dense_path(self, monkeypatch, case):
+        n = 1 if case == "one_task" else 3
+        mode = KernelMode.CONVOLVED if case == "convolved" else KernelMode.ICM
+        ds, theta = homotopic_instance(800, n, mode=mode)
+        ds = {"heterotopic": self.drop_one, "repeated": self.twice}.get(
+            case, lambda d: d)(ds)
+        calls = self.factorizations(monkeypatch)
+        lml = log_marginal_likelihood(theta, ds)
+        assert calls == [(len(ds), len(ds))]
+        assert lml == pytest.approx(dense_lml_oracle(theta, ds), abs=1e-8)
+
+    def test_fit_builds_one_dense_problem(self, monkeypatch):
+        ds, _ = homotopic_instance(900, 3, shuffled=True)
+        built = []
+
+        class Counted(gp_module._Problem):
+            def __init__(self, dataset):
+                built.append(len(dataset))
+                super().__init__(dataset)
+
+        monkeypatch.setattr(gp_module, "_Problem", Counted)
+        model = fit(ds, FitConfig(restarts=2, seed=3, max_iters=40, mode=KernelMode.ICM))
+        assert built == [len(ds)]  # the model's own factorization, nothing else
+        assert model.lml == pytest.approx(
+            log_marginal_likelihood(model.theta, model.dataset), abs=1e-8)
 
 
 class TestFit:
