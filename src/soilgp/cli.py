@@ -130,7 +130,9 @@ def build_parser() -> _Parser:
     p.add_argument("--height", type=float, default=170.0)
     p.add_argument("--labels", default="pH,N,P,K")
     p.add_argument("--variances", help="comma-separated per-task variances")
-    p.add_argument("--lengthscales", default="40,40,60,80")
+    p.add_argument("--lengthscales",
+                   help="comma-separated length-scales in m, one per task or one "
+                        "for icm (default: the first of 40,40,60,80)")
     p.add_argument("--noise", default="0.05", help="per-task noise variances")
     p.add_argument("--corr", action="append",
                    help="inter-task correlation as LABEL,LABEL=r "
@@ -242,6 +244,11 @@ def _comma_floats(raw, n, what):
     return tuple(vals)
 
 
+# synth's default length-scales, taken from the front: one per task, or one
+# shared under ICM
+_SYNTH_LENGTHSCALES = (40.0, 40.0, 60.0, 80.0)
+
+
 def _cmd_synth(args):
     labels = tuple(s.strip() for s in args.labels.split(","))
     n = len(labels)
@@ -250,8 +257,16 @@ def _cmd_synth(args):
     n_samples = len(locations) if locations is not None else args.n_samples
     variances = _comma_floats(args.variances, n, "variances") if args.variances \
         else (1.0,) * n
-    lengthscales = _comma_floats(args.lengthscales, mode.n_lengthscales(n),
-                                 "lengthscales")
+    n_ls = mode.n_lengthscales(n)
+    if args.lengthscales is not None:
+        lengthscales = _comma_floats(args.lengthscales, n_ls, "lengthscales")
+    elif n_ls <= len(_SYNTH_LENGTHSCALES):
+        lengthscales = _SYNTH_LENGTHSCALES[:n_ls]
+    else:
+        raise ValueError(
+            f"{n} tasks need --lengthscales: the default has "
+            f"{len(_SYNTH_LENGTHSCALES)} values"
+        )
     noise = _comma_floats(args.noise, n, "noise")
     if args.corr is None:
         corr_specs = [f"{labels[0]},{labels[1]}=0.9"] if n >= 2 else []

@@ -15,7 +15,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky as scipy_cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky as scipy_cholesky, eigh, solve_triangular
+from scipy.linalg.blas import dgemm
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -287,16 +288,17 @@ class _KroneckerProblem:
             L, ls, noise = unpack_theta(theta_vec, self.n_tasks, mode, noise_floor)
             Kc = L @ L.T
             spatial = TrainingKernel(self.r, None, None, ls, mode)  # ICM reads r, ls
-            # numpy's eigh (LAPACK syevd), not scipy's: the two link separate
-            # OpenBLAS builds, and alternating their thread pools with the
-            # numpy products below cost ~6 ms per evaluation at m = 120 on 2 vCPUs
-            s, V = np.linalg.eigh(spatial.value)
+            # scipy's syevd, like every m-sized call here (see _dot); the
+            # entries lie in [0, 1] for any capped theta, so are finite
+            s, V = eigh(spatial.value, driver="evd", check_finite=False)
             d, w, lam, U, G = _whitened_eigh(Kc, noise, s)
         except (NumericFailure, np.linalg.LinAlgError):
             return REJECTED, None
         P = U * w[:, None]
         Ginv = 1.0 / G
-        alpha = P @ (((P.T @ self.y) @ V) * Ginv) @ V.T
+        Y = _dot(_dot(P.T, self.y), V)  # the data in the eigenbasis
+        Y *= Ginv
+        alpha = _dot(_dot(P, Y), V.T)
         lml = (
             -0.5 * np.sum(self.y * alpha)
             - 0.5 * (np.log(G).sum() + self.m * np.log(d).sum())
@@ -307,16 +309,36 @@ class _KroneckerProblem:
     def gradient(self, state, theta_vec, mode, noise_floor):
         L, Kc, ls, spatial, s, V, lam, P, Ginv, alpha = state
         # Task factor: A = α Ks αᵀ − P diag(G⁻¹s) Pᵀ
-        A = alpha @ spatial.value @ alpha.T
-        A -= (P * (Ginv @ s)) @ P.T
+        A = _dot(_dot(alpha, spatial.value), alpha.T)
+        A -= (P * _dot(s[None], Ginv.T)) @ P.T
         # Length-scale: ½ Σ (αᵀKcα − V diag(ΛG⁻¹) Vᵀ) ∘ dKs · l
-        B = alpha.T @ Kc @ alpha
-        B -= (V * (lam @ Ginv)) @ V.T
+        B = _dot(alpha.T, _dot(Kc, alpha))
+        B -= _dot(V * _dot(lam[None], Ginv), V.T)
         B *= spatial.dl()
         g_ls = np.array([0.5 * np.sum(B) * ls[0]])
         # Noise: ½ (Σ_p α_ip² − Σ_k P_ik² Σ_q G⁻¹_kq)
         g_noise = 0.5 * (np.sum(alpha**2, axis=1) - P**2 @ Ginv.sum(axis=1))
         return _pack_gradient(A, L, g_ls, g_noise, theta_vec, noise_floor)
+
+
+# One BLAS per fit. numpy and scipy each load their own OpenBLAS, each with
+# its own pool of worker threads, and L-BFGS-B runs on scipy's between
+# evaluations. So every LAPACK or BLAS call of the eigen-path with an
+# m-sized operand is scipy's too: eigh, and the products through _dot. With
+# them on numpy's pool the two pools' threads competed for the cores: on a
+# 2 vCPU Xeon the benchmark's `large` fit (m = 250, n = 4) took a median
+# 29.3 ms per evaluation, against 12.3 ms with one pool (BENCH_9.json).
+def _dot(a, b):
+    """a @ b of 2-D arrays on scipy's dgemm. dgemm reads Fortran order: the
+    product is formed as (bᵀaᵀ)ᵀ, each operand passed as its
+    Fortran-ordered view with the transpose flag that undoes it, so no
+    C- or Fortran-ordered operand is copied."""
+
+    def fortran(x):  # (array, flag) whose op(array) is xᵀ
+        return (x.T, 0) if x.flags.c_contiguous else (x, 1)
+
+    (bt, tb), (at, ta) = fortran(b), fortran(a)
+    return dgemm(1.0, bt, at, trans_a=tb, trans_b=ta).T
 
 
 def _whitened_eigh(Kc, noise, s):
@@ -334,7 +356,7 @@ def _whitened_eigh(Kc, noise, s):
         white = Kc * np.outer(w, w)
         if not np.all(np.isfinite(white)):
             raise NumericFailure("covariance contains non-finite entries")
-        lam, U = np.linalg.eigh(white)
+        lam, U = eigh(white, driver="evd", check_finite=False)
         G = np.outer(lam, s)
         G += 1.0
         if np.all(G > 0):

@@ -116,11 +116,13 @@ def random_instance(seed, n_tasks=None, max_points=8, mode=None, noise_lo=1e-3):
     return ds, random_theta(rng, n, mode, noise_lo)
 
 
-def homotopic_instance(seed, n_tasks, shuffled=False, mode=KernelMode.ICM):
+def homotopic_instance(seed, n_tasks, shuffled=False, mode=KernelMode.ICM,
+                       n_locations=None):
     """Seeded homotopic dataset (every location carries every task once,
-    sample-major or in shuffled row order) plus a valid random theta."""
+    sample-major or in shuffled row order) plus a valid random theta.
+    Without ``n_locations`` the location count is drawn from 2-6."""
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 7))
+    m = int(rng.integers(2, 7)) if n_locations is None else n_locations
     obs = []
     for j in range(m):
         loc = Location(float(rng.uniform(0, 60)), float(rng.uniform(0, 60)))

@@ -324,6 +324,30 @@ class TestSynth:
         ds = parse_observations(obs)
         assert ds.n_samples == 9
 
+    @pytest.mark.parametrize("argv, lengthscales", [
+        ((), "40,40,60,80"),
+        (("--mode", "icm"), "40"),
+        (("--labels", "pH,N"), "40,40"),
+        (("--labels", "pH,N,P,K,Ca", "--mode", "icm"), "40"),
+    ], ids=["four_tasks", "icm", "two_tasks", "five_tasks_icm"])
+    def test_default_lengthscales_are_the_front_of_the_list(
+            self, capsys, tmp_path, argv, lengthscales):
+        # four_tasks: the default draw keeps its bytes
+        draws = []
+        for extra in ((), ("--lengthscales", lengthscales)):
+            out = tmp_path / f"obs{len(draws)}.csv"
+            code, _, err = run(capsys, "synth", "--out", str(out), "--seed", "3",
+                               *argv, *extra)
+            assert code == EXIT_OK, err
+            draws.append(out.read_bytes())
+        assert draws[0] == draws[1]
+
+    def test_five_tasks_need_lengthscales(self, capsys, tmp_path):
+        code, _, err = run(capsys, "synth", "--out", str(tmp_path / "o.csv"),
+                           "--labels", "pH,N,P,K,Ca")
+        assert code == EXIT_DATA
+        assert "--lengthscales" in err
+
     def test_bad_corr_spec(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--out", str(tmp_path / "o.csv"),

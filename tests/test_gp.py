@@ -196,6 +196,55 @@ class TestKroneckerPath:
         diff = np.linalg.norm(lml_gradient(theta, ds) - grad)
         assert diff <= 1e-10 * np.linalg.norm(grad)
 
+    # m = 40 is above syevd's divide-and-conquer cutoff of 25 rows; at
+    # m = 260 with n = 4 the n·m·m products reach OpenBLAS's threading
+    # threshold. The default instances (m ≤ 6) reach neither.
+    SIZES = pytest.mark.parametrize("m", [40, 260])
+
+    @SIZES
+    def test_agrees_with_dense_path_at_size(self, m):
+        ds, theta = homotopic_instance(1000 + m, 4, shuffled=True, n_locations=m)
+        lml, grad = self.dense(ds, theta)
+        assert abs(log_marginal_likelihood(theta, ds) - lml) <= 1e-10 * abs(lml)
+        diff = np.linalg.norm(lml_gradient(theta, ds) - grad)
+        assert diff <= 1e-10 * np.linalg.norm(grad)
+
+    @SIZES
+    def test_gradient_matches_fd_oracle_at_size(self, m):
+        ds, theta = homotopic_instance(1100 + m, 4, shuffled=True, n_locations=m)
+        analytic = lml_gradient(theta, ds)
+        oracle = fd_gradient_oracle(
+            lambda v: log_marginal_likelihood(HyperParams(v, 4, KernelMode.ICM), ds),
+            theta.values,
+        )
+        assert np.linalg.norm(analytic - oracle) <= 1e-4 * np.linalg.norm(oracle)
+
+    def test_runs_on_scipys_lapack(self, monkeypatch):
+        # numpy and scipy each bundle their own OpenBLAS with its own thread
+        # pool, and L-BFGS-B runs on scipy's. An eigendecomposition or an
+        # m-sized product taken from numpy puts the objective on the other
+        # pool, and inside a fit the two pools' threads compete for the
+        # cores (on 2 vCPUs a `large` evaluation took ~29 ms that way,
+        # against ~12 ms on one pool). The results agree either way to
+        # rounding, so only this test catches the return.
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigh called on the eigen-path")
+
+        products, real = [], gp_module.dgemm
+
+        def dgemm(*args, **kwargs):
+            products.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(gp_module, "dgemm", dgemm)
+        ds, theta = homotopic_instance(1200, 4, shuffled=True, n_locations=40)
+        assert np.isfinite(log_marginal_likelihood(theta, ds))
+        assert products  # the value's products went through scipy's dgemm
+        products.clear()
+        assert np.all(np.isfinite(lml_gradient(theta, ds)))
+        assert products
+
     # (log L11, L21, log L22) of a task factor whose stored product
     # Kc = fl(L Lᵀ) is indefinite: c² > ab, checked exactly below.
     INDEFINITE = (29.12520648375756, 134.40206424733452, -100.0)
