@@ -15,8 +15,9 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky as scipy_cholesky, eigh, solve_triangular
+from scipy.linalg import cho_solve, cholesky as scipy_cholesky, solve_triangular
 from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dsyevd
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -288,9 +289,7 @@ class _KroneckerProblem:
             L, ls, noise = unpack_theta(theta_vec, self.n_tasks, mode, noise_floor)
             Kc = L @ L.T
             spatial = TrainingKernel(self.r, None, None, ls, mode)  # ICM reads r, ls
-            # scipy's syevd, like every m-sized call here (see _dot); the
-            # entries lie in [0, 1] for any capped theta, so are finite
-            s, V = eigh(spatial.value, driver="evd", check_finite=False)
+            s, V = _eigh(spatial.value)
             d, w, lam, U, G = _whitened_eigh(Kc, noise, s)
         except (NumericFailure, np.linalg.LinAlgError):
             return REJECTED, None
@@ -310,10 +309,10 @@ class _KroneckerProblem:
         L, Kc, ls, spatial, s, V, lam, P, Ginv, alpha = state
         # Task factor: A = α Ks αᵀ − P diag(G⁻¹s) Pᵀ
         A = _dot(_dot(alpha, spatial.value), alpha.T)
-        A -= (P * _dot(s[None], Ginv.T)) @ P.T
+        A -= (P * (Ginv @ s)) @ P.T
         # Length-scale: ½ Σ (αᵀKcα − V diag(ΛG⁻¹) Vᵀ) ∘ dKs · l
         B = _dot(alpha.T, _dot(Kc, alpha))
-        B -= _dot(V * _dot(lam[None], Ginv), V.T)
+        B -= _dot(V * (lam @ Ginv), V.T)
         B *= spatial.dl()
         g_ls = np.array([0.5 * np.sum(B) * ls[0]])
         # Noise: ½ (Σ_p α_ip² − Σ_k P_ik² Σ_q G⁻¹_kq)
@@ -324,21 +323,31 @@ class _KroneckerProblem:
 # One BLAS per fit. numpy and scipy each load their own OpenBLAS, each with
 # its own pool of worker threads, and L-BFGS-B runs on scipy's between
 # evaluations. So every LAPACK or BLAS call of the eigen-path with an
-# m-sized operand is scipy's too: eigh, and the products through _dot. With
-# them on numpy's pool the two pools' threads competed for the cores: on a
-# 2 vCPU Xeon the benchmark's `large` fit (m = 250, n = 4) took a median
-# 29.3 ms per evaluation, against 12.3 ms with one pool (BENCH_9.json).
+# m-sized operand is scipy's too: _eigh, and the products through _dot.
+# With them on numpy's pool the two pools' threads competed for the cores.
+# On a 2 vCPU Xeon an evaluation inside a fit took a median 6.6 ms against
+# 0.28 ms with one pool at n = 4, M = 120, and 14.5 ms against 6.6 ms at
+# the benchmark's `large` (n = 4, M = 1000) (BENCH_9.json).
 def _dot(a, b):
     """a @ b of 2-D arrays on scipy's dgemm. dgemm reads Fortran order: the
     product is formed as (bᵀaᵀ)ᵀ, each operand passed as its
     Fortran-ordered view with the transpose flag that undoes it, so no
     C- or Fortran-ordered operand is copied."""
-
-    def fortran(x):  # (array, flag) whose op(array) is xᵀ
-        return (x.T, 0) if x.flags.c_contiguous else (x, 1)
-
-    (bt, tb), (at, ta) = fortran(b), fortran(a)
+    bt, tb = (b.T, 0) if b.flags.c_contiguous else (b, 1)
+    at, ta = (a.T, 0) if a.flags.c_contiguous else (a, 1)
     return dgemm(1.0, bt, at, trans_a=tb, trans_b=ta).T
+
+
+def _eigh(a):
+    """(ascending eigenvalues, eigenvectors) of the symmetric a, from its
+    lower triangle, by scipy's LAPACK syevd: the call that
+    scipy.linalg.eigh(a, driver="evd") makes, without its ~15 µs of
+    argument checks per call, which made an n = 4, M = 40 evaluation
+    slower than on numpy's eigh."""
+    s, V, info = dsyevd(a, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"syevd failed to converge (info {info})")
+    return s, V
 
 
 def _whitened_eigh(Kc, noise, s):
@@ -356,7 +365,7 @@ def _whitened_eigh(Kc, noise, s):
         white = Kc * np.outer(w, w)
         if not np.all(np.isfinite(white)):
             raise NumericFailure("covariance contains non-finite entries")
-        lam, U = eigh(white, driver="evd", check_finite=False)
+        lam, U = _eigh(white)
         G = np.outer(lam, s)
         G += 1.0
         if np.all(G > 0):

@@ -224,8 +224,8 @@ class TestKroneckerPath:
         # pool, and L-BFGS-B runs on scipy's. An eigendecomposition or an
         # m-sized product taken from numpy puts the objective on the other
         # pool, and inside a fit the two pools' threads compete for the
-        # cores (on 2 vCPUs a `large` evaluation took ~29 ms that way,
-        # against ~12 ms on one pool). The results agree either way to
+        # cores (on 2 vCPUs an n = 4, M = 120 evaluation took ~6.6 ms that
+        # way, against ~0.28 ms on one pool). The results agree either way to
         # rounding, so only this test catches the return.
         def refuse(*args, **kwargs):
             raise AssertionError("numpy.linalg.eigh called on the eigen-path")
@@ -239,11 +239,14 @@ class TestKroneckerPath:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(gp_module, "dgemm", dgemm)
         ds, theta = homotopic_instance(1200, 4, shuffled=True, n_locations=40)
+        # Exact counts, so one product moved back to numpy's @ fails too:
+        # the value has four products with an m-sized operand, and the
+        # gradient repeats the value's four and adds five.
         assert np.isfinite(log_marginal_likelihood(theta, ds))
-        assert products  # the value's products went through scipy's dgemm
+        assert len(products) == 4
         products.clear()
         assert np.all(np.isfinite(lml_gradient(theta, ds)))
-        assert products
+        assert len(products) == 9
 
     # (log L11, L21, log L22) of a task factor whose stored product
     # Kc = fl(L Lᵀ) is indefinite: c² > ab, checked exactly below.
