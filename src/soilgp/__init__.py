@@ -6,7 +6,6 @@ from .data import (
     NormStats,
     Observation,
     Rect,
-    TaskId,
     make_dataset,
     normalize,
     prefix,
@@ -21,7 +20,6 @@ from .gp import (
     fit_stgp,
     log_marginal_likelihood,
     lml_gradient,
-    predict,
     predict_arrays,
     predict_tasks,
     task_correlations,
@@ -51,7 +49,6 @@ from .mapping import (
 from .mission import (
     DrillSpec,
     FieldBoundary,
-    SamplePlan,
     auger_diameter,
     grid_plan,
     sample_mass,

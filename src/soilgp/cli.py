@@ -13,7 +13,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .data import Rect
-from .gp import FitConfig, HyperParams, NumericFailure, correlation_matrix, fit, predict_arrays
+from .gp import FitConfig, NumericFailure, correlation_matrix, fit, predict_arrays
 from .io import (
     SETTING_PARSERS,
     RunConfig,
@@ -198,9 +198,8 @@ def _cmd_map(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     write_map_csv(out_dir / f"{args.prefix}.csv", maps)
     for pm in maps:
-        write_asc(out_dir / f"{args.prefix}_{pm.task.label}_mean.asc", grid, pm.mean)
-        write_asc(out_dir / f"{args.prefix}_{pm.task.label}_variance.asc", grid,
-                  pm.variance)
+        write_asc(out_dir / f"{args.prefix}_{pm.label}_mean.asc", grid, pm.mean)
+        write_asc(out_dir / f"{args.prefix}_{pm.label}_variance.asc", grid, pm.variance)
     print(f"wrote {len(maps)} mean + {len(maps)} variance surfaces "
           f"({grid.nx}x{grid.ny} cells) to {out_dir}")
     return EXIT_OK
@@ -225,7 +224,7 @@ def _cmd_correlations(args):
         raise _UsageError("correlations needs exactly one of --model or --obs")
     if args.model:
         record = read_model(args.model)
-        Kc = HyperParams(record.theta, record.n_tasks, record.mode).task_cov()
+        Kc = record.theta.task_cov()
         write_correlation_matrix(args.out, record.labels, correlation_matrix(Kc))
     else:
         cfg = _resolve_config(args)
@@ -240,7 +239,8 @@ def _comma_floats(raw, n, what):
     if len(vals) == 1:
         vals = vals * n
     if len(vals) != n:
-        raise ValueError(f"{what} needs 1 or {n} comma-separated values")
+        counts = "1 value" if n == 1 else f"1 or {n} comma-separated values"
+        raise ValueError(f"{what} needs {counts}")
     return tuple(vals)
 
 
@@ -310,9 +310,9 @@ def _cmd_synth(args):
 
 def _cmd_plan(args):
     boundary = parse_boundary(args.boundary)
-    plan = grid_plan(boundary, args.spacing)
-    write_plan(args.out, plan)
-    print(f"{len(plan.points)} sample points at {args.spacing:g} m spacing")
+    points = grid_plan(boundary, args.spacing)
+    write_plan(args.out, points)
+    print(f"{len(points)} sample points at {args.spacing:g} m spacing")
     return EXIT_OK
 
 

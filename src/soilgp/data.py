@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "Location",
-    "TaskId",
     "Observation",
     "Rect",
     "Dataset",
@@ -38,14 +37,6 @@ class Location:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
-class TaskId:
-    """One measured quantity: dense index plus a short display label."""
-
-    index: int
-    label: str
 
 
 @dataclass(frozen=True)
@@ -95,8 +86,7 @@ class Dataset:
     order used by :func:`prefix`. Construct through :func:`make_dataset`.
     """
 
-    n_tasks: int
-    tasks: tuple[TaskId, ...]
+    labels: tuple[str, ...]  # task label by task index
     observations: tuple[Observation, ...]
     field_bounds: Rect
 
@@ -104,8 +94,8 @@ class Dataset:
         return len(self.observations)
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(t.label for t in self.tasks)
+    def n_tasks(self) -> int:
+        return len(self.labels)
 
     @cached_property
     def xy(self) -> np.ndarray:
@@ -147,7 +137,7 @@ class Dataset:
             Observation(o.sample_id, o.location, o.task, float(v))
             for o, v in zip(self.observations, values)
         )
-        return Dataset(self.n_tasks, self.tasks, obs, self.field_bounds)
+        return Dataset(self.labels, obs, self.field_bounds)
 
 
 def make_dataset(
@@ -181,8 +171,7 @@ def make_dataset(
     xs = [o.location.x for o in observations]
     ys = [o.location.y for o in observations]
     bounds = Rect(min(xs), min(ys), max(xs), max(ys))
-    tasks = tuple(TaskId(i, lab) for i, lab in enumerate(labels))
-    return Dataset(n_tasks, tasks, tuple(observations), bounds)
+    return Dataset(labels, tuple(observations), bounds)
 
 
 @dataclass(frozen=True)
@@ -205,9 +194,6 @@ class NormStats:
     @property
     def n_tasks(self) -> int:
         return len(self.means)
-
-    def denormalize_values(self, task, values):
-        return np.asarray(values) * self.stds[task] + self.means[task]
 
 
 def normalize(dataset: Dataset) -> tuple[Dataset, NormStats]:

@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dsyevd
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
-from .data import Dataset, Location, NormStats, Observation, make_dataset, normalize
+from .data import Dataset, NormStats, Observation, make_dataset, normalize
 from .kernels import (
     JITTER_LADDER,
     NOISE_FLOOR,
@@ -45,7 +45,6 @@ __all__ = [
     "lml_gradient",
     "fit",
     "condition",
-    "predict",
     "predict_arrays",
     "predict_tasks",
     "task_correlations",
@@ -524,27 +523,6 @@ def _build_model(norm_ds, stats, theta, noise_floor, restart_lmls) -> FittedMode
 # ---------------------------------------------------------------------------
 
 
-def predict(
-    model: FittedModel,
-    queries,
-    denormalize: bool = False,
-    include_noise: bool = False,
-) -> PredictionResult:
-    """Posterior mean and variance at (task, location) queries.
-
-    Variance is the latent-function uncertainty; ``include_noise`` adds
-    the per-task observation noise for held-out-value intervals.
-    Negative variances produced by floating-point cancellation are
-    clamped at zero (the clamp magnitude is logged).
-    """
-    q_tasks = np.array([q[0] for q in queries], dtype=np.intp)
-    q_xy = np.array(
-        [(q[1].x, q[1].y) if isinstance(q[1], Location) else tuple(q[1]) for q in queries],
-        dtype=float,
-    ).reshape(len(queries), 2)
-    return predict_arrays(model, q_tasks, q_xy, denormalize, include_noise)
-
-
 def predict_arrays(
     model: FittedModel,
     q_tasks: np.ndarray,
@@ -555,7 +533,13 @@ def predict_arrays(
     """Posterior mean and variance at (task, location) rows, one row per
     entry of ``q_tasks`` with its point in ``q_xy`` (Q×2). The rows of
     each task go through the prediction core together, so a row pays
-    for its own task only."""
+    for its own task only.
+
+    Variance is the latent-function uncertainty; ``include_noise`` adds
+    the per-task observation noise for held-out-value intervals.
+    Negative variances produced by floating-point cancellation are
+    clamped at zero (the clamp magnitude is logged).
+    """
     n = model.n_tasks
     q_tasks = np.asarray(q_tasks, dtype=np.intp)
     q_xy = np.asarray(q_xy, dtype=float)

@@ -24,7 +24,7 @@ from .data import Dataset, Location, Observation, make_dataset
 from .gp import FitConfig, FittedModel, HyperParams, condition
 from .kernels import KernelMode
 from .mapping import GroundTruth, GridSpec, PropertyMap, RmseCurves, CorrelationTrajectory
-from .mission import FieldBoundary, SamplePlan
+from .mission import FieldBoundary
 
 __all__ = [
     "OBS_HEADER",
@@ -241,10 +241,8 @@ class ModelRecord:
     """Everything a model file stores; training data travels separately
     and is checked against the digest."""
 
-    mode: KernelMode
-    n_tasks: int
     labels: tuple[str, ...]
-    theta: np.ndarray
+    theta: HyperParams
     norm_means: np.ndarray
     norm_stds: np.ndarray
     noise_floor: float
@@ -281,10 +279,9 @@ def read_model(path) -> ModelRecord:
     try:
         n_tasks = int(fields["n_tasks"])
         record = ModelRecord(
-            mode=KernelMode.parse(fields["mode"]),
-            n_tasks=n_tasks,
             labels=tuple(fields["labels"].split(",")),
-            theta=np.array([float(v) for v in fields["theta"].split()]),
+            theta=HyperParams([float(v) for v in fields["theta"].split()], n_tasks,
+                              KernelMode.parse(fields["mode"])),
             norm_means=np.array([float(v) for v in fields["norm_means"].split()]),
             norm_stds=np.array([float(v) for v in fields["norm_stds"].split()]),
             noise_floor=float(fields["noise_floor"]),
@@ -311,8 +308,7 @@ def model_from_record(record: ModelRecord, dataset: Dataset) -> FittedModel:
         )
     if dataset.labels != record.labels:
         raise ValueError("task labels differ between model file and observations")
-    theta = HyperParams(record.theta, record.n_tasks, record.mode)
-    return condition(dataset, theta, record.noise_floor)
+    return condition(dataset, record.theta, record.noise_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +325,7 @@ def _map_lines(maps):
             grid = pm.grid
             centers = [f"{x!r},{y!r}" for x, y in grid.cell_centers.tolist()]
         for xy, m, v in zip(centers, pm.mean.tolist(), pm.variance.tolist()):
-            yield f"{pm.task.label},{xy},{m!r},{v!r}"
+            yield f"{pm.label},{xy},{m!r},{v!r}"
 
 
 def write_map_csv(path, maps: list[PropertyMap]):
@@ -417,10 +413,10 @@ def parse_truth(path, labels) -> GroundTruth:
 PLAN_HEADER = "sample_id,x_m,y_m"
 
 
-def write_plan(path, plan: SamplePlan):
-    width = max(2, len(str(len(plan.points))))
+def write_plan(path, points):
+    width = max(2, len(str(len(points))))
     _write_lines(path, PLAN_HEADER, (
-        f"S{j + 1:0{width}d},{_fmt(p.x)},{_fmt(p.y)}" for j, p in enumerate(plan.points)
+        f"S{j + 1:0{width}d},{_fmt(p.x)},{_fmt(p.y)}" for j, p in enumerate(points)
     ))
 
 

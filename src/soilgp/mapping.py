@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, Rect, TaskId, prefix
+from .data import Dataset, Rect, prefix
 from .gp import FitConfig, FittedModel, fit, fit_stgp, predict_tasks, task_correlations
 
 __all__ = [
@@ -92,7 +92,7 @@ class GridSpec:
 class PropertyMap:
     """Posterior mean and variance surfaces for one task on a grid."""
 
-    task: TaskId
+    label: str
     grid: GridSpec
     mean: np.ndarray
     variance: np.ndarray
@@ -163,7 +163,7 @@ def predict_map(
     )
     return [
         PropertyMap(
-            task=TaskId(i, model.dataset.labels[i]),
+            label=model.dataset.labels[i],
             grid=grid,
             mean=mean[i],
             variance=var[i],

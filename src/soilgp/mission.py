@@ -18,7 +18,6 @@ __all__ = [
     "MAX_PLAN_NODES",
     "DrillSpec",
     "FieldBoundary",
-    "SamplePlan",
     "sample_mass",
     "auger_diameter",
     "grid_plan",
@@ -109,7 +108,8 @@ def _validate_simple_polygon(poly, what: str):
                 raise ValueError(f"{what} is self-intersecting")
 
 
-def _on_edge(poly, x: float, y: float, tol: float = 1e-9) -> bool:
+def _on_edge(poly, x: float, y: float) -> bool:
+    tol = 1e-9  # meters from an edge that still count as on it
     n = len(poly)
     for i in range(n):
         x1, y1 = poly[i]
@@ -126,11 +126,11 @@ def _on_edge(poly, x: float, y: float, tol: float = 1e-9) -> bool:
     return False
 
 
-def _point_in_polygon(poly, x: float, y: float, count_edge_as_inside: bool) -> bool:
-    """Even-odd rule; edge membership is decided explicitly so boundary
-    and exclusion semantics stay exact."""
+def _point_in_polygon(poly, x: float, y: float) -> bool:
+    """Even-odd rule; a point on an edge counts as inside, decided
+    explicitly so boundary and exclusion semantics stay exact."""
     if _on_edge(poly, x, y):
-        return count_edge_as_inside
+        return True
     inside = False
     n = len(poly)
     for i in range(n):
@@ -160,12 +160,9 @@ class FieldBoundary:
             _validate_simple_polygon(ex, f"exclusion polygon {k}")
 
     def contains(self, x: float, y: float) -> bool:
-        if not _point_in_polygon(self.polygon, x, y, count_edge_as_inside=True):
+        if not _point_in_polygon(self.polygon, x, y):
             return False
-        return not any(
-            _point_in_polygon(ex, x, y, count_edge_as_inside=True)
-            for ex in self.exclusions
-        )
+        return not any(_point_in_polygon(ex, x, y) for ex in self.exclusions)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         xs = [p[0] for p in self.polygon]
@@ -173,16 +170,9 @@ class FieldBoundary:
         return min(xs), min(ys), max(xs), max(ys)
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """Ordered sample visit list on a square lattice."""
-
-    points: tuple[Location, ...]
-    spacing: float
-
-
-def grid_plan(boundary: FieldBoundary, spacing: float) -> SamplePlan:
-    """Square lattice anchored at the bounding-box minimum corner.
+def grid_plan(boundary: FieldBoundary, spacing: float) -> tuple[Location, ...]:
+    """Ordered sample visits on a square lattice anchored at the
+    bounding-box minimum corner.
 
     Keeps lattice nodes inside the boundary and outside every exclusion;
     rows are ordered south to north and traversed serpentine to shorten
@@ -206,4 +196,4 @@ def grid_plan(boundary: FieldBoundary, spacing: float) -> SamplePlan:
             x = xmin + ix * spacing
             if boundary.contains(x, y):
                 points.append(Location(x, y))
-    return SamplePlan(tuple(points), spacing)
+    return tuple(points)

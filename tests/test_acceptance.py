@@ -31,7 +31,6 @@ from soilgp.gp import (
     fit_stgp,
     log_marginal_likelihood,
     lml_gradient,
-    predict,
     predict_arrays,
     task_correlations,
     theta_from_moments,
@@ -334,13 +333,13 @@ def test_criterion_8_interpolation_and_reversion():
         [1e-10, 1e-10], KernelMode.CONVOLVED,
     )
     model = condition(ds, theta)
-    at_train = predict(
-        model, list(zip(model.dataset.task_index, map(tuple, model.dataset.xy)))
-    )
+    at_train = predict_arrays(model, model.dataset.task_index, model.dataset.xy)
     interp_err = float(np.abs(at_train.mean - model.dataset.values).max())
     interp_var = float(at_train.variance.max())
 
-    far = predict(model, [(0, (100 * 35.0 + 1000.0, 0.0)), (1, (0.0, 100 * 35.0 + 1000.0))])
+    far = predict_arrays(
+        model, [0, 1], [(100 * 35.0 + 1000.0, 0.0), (0.0, 100 * 35.0 + 1000.0)]
+    )
     Kc = model.theta.task_cov()
     far_mean = float(np.abs(far.mean).max())
     far_var_err = float(np.abs(far.variance - Kc[[0, 1], [0, 1]]).max())
@@ -378,16 +377,16 @@ def test_criterion_9_drill_arithmetic():
 def test_criterion_10_plan_generation():
     square = FieldBoundary(((0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (0.0, 100.0)))
     plan = grid_plan(square, 45.0)
-    inside = all(square.contains(p.x, p.y) for p in plan.points)
+    inside = all(square.contains(p.x, p.y) for p in plan)
     everything = ((-5.0, -5.0), (105.0, -5.0), (105.0, 105.0), (-5.0, 105.0))
     empty = grid_plan(FieldBoundary(square.polygon, (everything,)), 45.0)
-    ok = len(plan.points) == 9 and inside and empty.points == ()
-    report(10, ok, f"100x100 m at 45 m: {len(plan.points)} points "
+    ok = len(plan) == 9 and inside and empty == ()
+    report(10, ok, f"100x100 m at 45 m: {len(plan)} points "
                    f"(all inside: {inside}); full exclusion leaves "
-                   f"{len(empty.points)}")
-    assert len(plan.points) == 9
+                   f"{len(empty)}")
+    assert len(plan) == 9
     assert inside
-    assert empty.points == ()
+    assert empty == ()
 
 
 def test_criterion_11_cli_pipeline(tmp_path):

@@ -348,6 +348,18 @@ class TestSynth:
         assert code == EXIT_DATA
         assert "--lengthscales" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--mode", "icm", "--lengthscales", "40,50"), "lengthscales needs 1 value"),
+        (("--labels", "pH", "--variances", "1,2"), "variances needs 1 value"),
+        (("--lengthscales", "40,50"), "lengthscales needs 1 or 4 comma-separated values"),
+    ], ids=["icm_lengthscales", "one_task_variances", "four_task_lengthscales"])
+    def test_value_count_error_names_the_count(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "o.csv"
+        code, _, err = run(capsys, "synth", "--out", str(out), *argv)
+        assert code == EXIT_DATA
+        assert message in err
+        assert not out.exists()
+
     def test_bad_corr_spec(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--out", str(tmp_path / "o.csv"),

@@ -25,7 +25,6 @@ from soilgp.gp import (
     fit_stgp,
     log_marginal_likelihood,
     lml_gradient,
-    predict,
     predict_arrays,
     task_correlations,
     theta_from_moments,
@@ -415,17 +414,13 @@ class TestPredict:
 
     def test_interpolates_training_points_at_tiny_noise(self):
         model, _ = self.model_on_prior_draw()
-        queries = list(
-            zip(model.dataset.task_index, map(tuple, model.dataset.xy))
-        )
-        res = predict(model, queries)
+        res = predict_arrays(model, model.dataset.task_index, model.dataset.xy)
         np.testing.assert_allclose(res.mean, model.dataset.values, atol=1e-5)
         assert np.all(res.variance <= 1e-4)
 
     def test_far_field_reverts_to_prior(self):
         model, _ = self.model_on_prior_draw()
-        far = (0, (100 * 35.0 + 500.0, 0.0))
-        res = predict(model, [far])
+        res = predict_arrays(model, [0], [(100 * 35.0 + 500.0, 0.0)])
         assert abs(res.mean[0]) <= 1e-6
         Kc = model.theta.task_cov()
         assert res.variance[0] == pytest.approx(Kc[0, 0], abs=1e-6)
@@ -446,7 +441,7 @@ class TestPredict:
     def test_unknown_task_rejected(self):
         model, _ = self.model_on_prior_draw()
         with pytest.raises(ValueError, match="unknown task"):
-            predict(model, [(2, (0.0, 0.0))])
+            predict_arrays(model, [2], [(0.0, 0.0)])
 
     def test_mismatched_query_shapes_rejected(self):
         model, _ = self.model_on_prior_draw()
@@ -466,18 +461,18 @@ class TestPredict:
 
     def test_include_noise_adds_task_variance(self):
         model, _ = self.model_on_prior_draw(noise=0.04)
-        q = [(1, (12.0, 13.0))]
-        plain = predict(model, q)
-        noisy = predict(model, q, include_noise=True)
+        q = ([1], [(12.0, 13.0)])
+        plain = predict_arrays(model, *q)
+        noisy = predict_arrays(model, *q, include_noise=True)
         assert noisy.variance[0] == pytest.approx(plain.variance[0] + 0.04)
 
     def test_denormalize_rescales(self):
         model, ds = self.model_on_prior_draw(noise=0.01)
-        q = [(0, (5.0, 5.0)), (1, (50.0, 40.0))]
-        normed = predict(model, q)
-        raw = predict(model, q, denormalize=True)
+        tasks, xy = [0, 1], [(5.0, 5.0), (50.0, 40.0)]
+        normed = predict_arrays(model, tasks, xy)
+        raw = predict_arrays(model, tasks, xy, denormalize=True)
         stds, means = model.stats.stds, model.stats.means
-        for i, (t, _) in enumerate(q):
+        for i, t in enumerate(tasks):
             assert raw.mean[i] == pytest.approx(normed.mean[i] * stds[t] + means[t])
             assert raw.variance[i] == pytest.approx(normed.variance[i] * stds[t] ** 2)
         assert normed.normalized and not raw.normalized

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soilgp import io
-from soilgp.data import Rect, TaskId
+from soilgp.data import Rect
 from soilgp.gp import FitConfig, PredictionResult, fit
 from soilgp.io import (
     RunConfig,
@@ -158,9 +158,9 @@ class TestModelFile:
         path = tmp_path / "model.txt"
         write_model(path, model, dataset_digest(ds))
         record = read_model(path)
-        assert record.mode is model.mode
+        assert record.theta.mode is model.mode
         assert record.labels == ds.labels
-        np.testing.assert_array_equal(record.theta, model.theta.values)
+        np.testing.assert_array_equal(record.theta.values, model.theta.values)
         np.testing.assert_array_equal(record.norm_means, model.stats.means)
         assert record.lml == model.lml
 
@@ -178,6 +178,24 @@ class TestModelFile:
         record = read_model(path)
         with pytest.raises(ValueError, match="digest mismatch"):
             model_from_record(record, other_ds)
+
+    @pytest.mark.parametrize("key, edit, message", [
+        ("theta", lambda raw: raw + " 0.5", "theta dimension mismatch"),
+        ("mode", lambda raw: "icm", "theta dimension mismatch"),
+        ("n_tasks", lambda raw: "3", "theta dimension mismatch"),
+        ("theta", lambda raw: "nan " + raw.split(" ", 1)[1], "must be finite"),
+    ], ids=["extra_entry", "other_mode", "other_n_tasks", "nan_entry"])
+    def test_theta_checked_at_read(self, tmp_path, key, edit, message):
+        ds, model = self.fitted()
+        path = tmp_path / "model.txt"
+        write_model(path, model, dataset_digest(ds))
+        lines = [
+            f"{key} {edit(ln.split(' ', 1)[1])}" if ln.startswith(key + " ") else ln
+            for ln in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_model(path)
 
     def test_wrong_format_tag(self, tmp_path):
         p = tmp_path / "model.txt"
@@ -243,7 +261,7 @@ class TestPlanBoundaryFiles:
         p = tmp_path / "plan.csv"
         write_plan(p, plan)
         points = parse_plan(p)
-        assert [(q.x, q.y) for q in points] == [(q.x, q.y) for q in plan.points]
+        assert [(q.x, q.y) for q in points] == [(q.x, q.y) for q in plan]
 
     def test_boundary_with_exclusions(self, tmp_path):
         p = tmp_path / "bound.csv"
@@ -333,7 +351,7 @@ def _reference_map_csv(maps):
         c = pm.grid.cell_centers
         for k in range(pm.grid.n_cells):
             vals = (c[k, 0], c[k, 1], pm.mean[k], pm.variance[k])
-            lines.append(",".join([pm.task.label] + [repr(float(v)) for v in vals]))
+            lines.append(",".join([pm.label] + [repr(float(v)) for v in vals]))
     return "\n".join(lines) + "\n"
 
 
@@ -371,7 +389,7 @@ class TestWriterBytes:
         for i, grid in enumerate([a, b, a]):
             mean = _values(data.draw, grid.n_cells)
             var = np.abs(_values(data.draw, grid.n_cells))
-            maps.append(PropertyMap(TaskId(i, f"t{i}"), grid, mean, var, True))
+            maps.append(PropertyMap(f"t{i}", grid, mean, var, True))
         p = tmp_path_factory.mktemp("map") / "map.csv"
         write_map_csv(p, maps)
         assert p.read_bytes() == _reference_map_csv(maps).encode()

@@ -137,7 +137,7 @@ class TestPredictMap:
     def test_one_map_per_task_with_labels(self):
         model = tiny_model()
         maps = predict_map(model, GridSpec(Rect(0, 0, 60, 40), 10.0))
-        assert [pm.task.label for pm in maps] == ["a", "b"]
+        assert [pm.label for pm in maps] == ["a", "b"]
         assert all(pm.normalized for pm in maps)
 
 

@@ -128,46 +128,47 @@ class TestFieldBoundary:
 class TestGridPlan:
     def test_square_at_45m_gives_nine_points(self):
         plan = grid_plan(FieldBoundary(SQUARE), 45.0)
-        assert len(plan.points) == 9
-        xs = sorted({p.x for p in plan.points})
-        ys = sorted({p.y for p in plan.points})
+        assert len(plan) == 9
+        xs = sorted({p.x for p in plan})
+        ys = sorted({p.y for p in plan})
         assert xs == [0.0, 45.0, 90.0] and ys == [0.0, 45.0, 90.0]
 
     def test_full_exclusion_empties_plan(self):
         big = ((-1.0, -1.0), (101.0, -1.0), (101.0, 101.0), (-1.0, 101.0))
         plan = grid_plan(FieldBoundary(SQUARE, (big,)), 45.0)
-        assert plan.points == ()
+        assert plan == ()
 
     def test_fifty_thousand_sqm_field(self):
         rect = ((0.0, 0.0), (300.0, 0.0), (300.0, 167.0), (0.0, 167.0))
         plan = grid_plan(FieldBoundary(rect), 45.0)
-        assert len(plan.points) == 28  # 7 x 4 lattice, near the trial's 30
+        assert len(plan) == 28  # 7 x 4 lattice, near the trial's 30
 
     def test_all_points_pass_membership(self):
         tri = ((0.0, 0.0), (120.0, 0.0), (0.0, 90.0))
         hole = ((10.0, 10.0), (30.0, 10.0), (30.0, 30.0), (10.0, 30.0))
         b = FieldBoundary(tri, (hole,))
         plan = grid_plan(b, 17.0)
-        assert plan.points
-        for p in plan.points:
+        assert plan
+        for p in plan:
             assert b.contains(p.x, p.y)
 
     def test_serpentine_ordering(self):
         plan = grid_plan(FieldBoundary(SQUARE), 45.0)
-        ys = [p.y for p in plan.points]
+        ys = [p.y for p in plan]
         assert ys == sorted(ys)  # rows south to north
-        row0 = [p.x for p in plan.points if p.y == 0.0]
-        row1 = [p.x for p in plan.points if p.y == 45.0]
+        row0 = [p.x for p in plan if p.y == 0.0]
+        row1 = [p.x for p in plan if p.y == 45.0]
         assert row0 == sorted(row0)
         assert row1 == sorted(row1, reverse=True)
 
     def test_spacing_invariant(self):
-        plan = grid_plan(FieldBoundary(SQUARE), 45.0)
-        pts = np.array([(p.x, p.y) for p in plan.points])
+        spacing = 45.0
+        plan = grid_plan(FieldBoundary(SQUARE), spacing)
+        pts = np.array([(p.x, p.y) for p in plan])
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 d = math.hypot(*(pts[i] - pts[j]))
-                assert d >= plan.spacing - 1e-6
+                assert d >= spacing - 1e-6
 
     @pytest.mark.parametrize("spacing", [1e-310, 5e-324])
     def test_non_finite_node_count_rejected(self, spacing):
@@ -187,7 +188,7 @@ class TestGridPlan:
 
     def test_node_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(mission, "MAX_PLAN_NODES", 9)  # 3 x 3 lattice at 45 m
-        assert len(grid_plan(FieldBoundary(SQUARE), 45.0).points) == 9
+        assert len(grid_plan(FieldBoundary(SQUARE), 45.0)) == 9
         monkeypatch.setattr(mission, "MAX_PLAN_NODES", 8)
         with pytest.raises(ValueError, match="3 x 3 lattice exceeds 8 nodes"):
             grid_plan(FieldBoundary(SQUARE), 45.0)
@@ -213,7 +214,7 @@ class TestGridPlan:
             ),
             25.0,
         )
-        assert len(base.points) == len(moved.points)
-        for p, q in zip(base.points, moved.points):
+        assert len(base) == len(moved)
+        for p, q in zip(base, moved):
             assert q.x == pytest.approx(p.x + dx, abs=1e-6)
             assert q.y == pytest.approx(p.y + dy, abs=1e-6)
