@@ -15,9 +15,11 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky as scipy_cholesky, solve_triangular
+# cho_solve is no longer called here (the objective calls LAPACK's potrs
+# directly), but bench/tracing.py patches it in this module by name.
+from scipy.linalg import cho_solve, cholesky as scipy_cholesky, solve_triangular  # noqa: F401
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dsyevd
+from scipy.linalg.lapack import dpotrs, dsyevd
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -28,7 +30,9 @@ from .kernels import (
     KernelMode,
     NumericFailure,
     TrainingKernel,
+    _TrainingSet,
     _tril_slots,
+    _unpack,
     chol_with_jitter,
     cross_cov_table,
     pack_theta,
@@ -154,83 +158,99 @@ class PredictionResult:
 
 class _Problem:
     """Per-dataset quantities of the dense objective, reused across
-    optimizer iterations."""
+    optimizer iterations, so that an evaluation does only its arithmetic:
+    the geometry is computed once, the solves call LAPACK directly, and
+    the gradient writes into workspaces kept from its first call. Each
+    evaluation performs the same floating-point operations in the same
+    order as scipy's cholesky and cho_solve on the assembled covariance,
+    so its results are bitwise those of that reference."""
 
     def __init__(self, dataset: Dataset):
         self.n_tasks = n = dataset.n_tasks
         self.tasks = t = dataset.task_index
-        self.xy = dataset.xy
         self.y = dataset.values
         # checked once here, so the per-evaluation solves can skip it
         if not np.all(np.isfinite(self.y)):
             raise ValueError("observation values must be finite")
-        self.r = cdist(self.xy, self.xy)
         self.m = len(self.y)
         # task-pair code t_p·n + t_q of every entry, in the narrowest
         # unsigned type (one byte per entry for up to 16 tasks)
-        self.pair = (t[:, None] * n + t[None, :]).astype(np.min_scalar_type(n * n - 1))
+        pair = (t[:, None] * n + t[None, :]).astype(np.min_scalar_type(n * n - 1))
+        self.train = _TrainingSet(dataset.xy, t, pair)
+        self._work = None  # the gradient's M×M workspaces
 
     def value(self, theta_vec, mode, noise_floor):
         """(lml, state), or (REJECTED, None). The state holds the Cholesky
         factor, the jitter, α = K⁻¹y and what :meth:`gradient` reuses."""
         try:
-            K, parts = _covariance(self, theta_vec, mode, noise_floor)
+            _check_theta(theta_vec)
+            L, ls, noise = _unpack(
+                theta_vec, self.n_tasks, mode.n_lengthscales(self.n_tasks), noise_floor
+            )
+            Kce = (L @ L.T).take(self.train.pair)  # Kc[t_p, t_q] for every entry
+            spatial = TrainingKernel._of(self.train, ls, mode)
+            K = Kce * spatial.value
+            K.reshape(-1)[:: self.m + 1] += noise[self.tasks]  # the diagonal
             Lf, jitter = chol_with_jitter(K, JITTER_LADDER)
         except NumericFailure:
             return REJECTED, None
-        alpha = cho_solve((Lf, True), self.y, check_finite=False)
+        alpha, _ = dpotrs(Lf, self.y, lower=1)  # cho_solve((Lf, True), y)
         lml = (
             -0.5 * self.y @ alpha
-            - np.log(np.diag(Lf)).sum()
+            - np.log(Lf.diagonal()).sum()
             - 0.5 * self.m * LOG_2PI
         )
-        return lml, (Lf, jitter, alpha, parts)
+        return lml, (Lf, jitter, alpha, (spatial, L, Kce, ls))
 
     def gradient(self, state, theta_vec, mode, noise_floor):
         Lf, _, alpha, (spatial, L, Kce, ls) = state
         n = self.n_tasks
         t = self.tasks
-        W = np.outer(alpha, alpha)
-        W -= cho_solve((Lf, True), np.eye(self.m), check_finite=False)  # K⁻¹
+        if self._work is None:
+            # Built here, not in __init__: a value-only use (every fitted
+            # model's factorization) holds no gradient workspace.
+            self._work = np.empty((self.m, self.m)), np.empty((self.m, self.m), order="F")
+        W, eye = self._work
+        np.multiply(alpha[:, None], alpha[None, :], out=W)  # ααᵀ
+        eye.fill(0.0)
+        eye.T.reshape(-1)[:: self.m + 1] = 1.0
+        # cho_solve((Lf, True), I), written over the Fortran-ordered identity
+        Kinv, _ = dpotrs(Lf, eye, lower=1, overwrite_b=1)
+        W -= Kinv
+        # K⁻¹ is spent: its memory, read through the C-ordered transpose,
+        # holds the products below, C-ordered as the sums need
+        WX = Kinv.T
 
         # Task factor: A_ab = Σ W∘S over the entries of task pair (a, b)
+        np.multiply(W, spatial.value, out=WX)
         A = np.bincount(
-            self.pair.ravel(), weights=(W * spatial.value).ravel(), minlength=n * n
+            self.train.pair.reshape(-1), weights=WX.reshape(-1), minlength=n * n
         ).reshape(n, n)
 
         # Length-scales (ICM: dS/dl; CONVOLVED: ∂S/∂l of each entry's row task)
-        WdS = W * Kce
-        WdS *= spatial.dl()
+        np.multiply(W, Kce, out=WX)
+        WX *= spatial.dl()
         if mode is KernelMode.ICM:
-            g_ls = np.array([0.5 * np.sum(WdS) * ls[0]])
+            g_ls = np.array([0.5 * np.sum(WX) * ls[0]])
         else:
-            row = np.sum(WdS, axis=1)
+            row = np.sum(WX, axis=1)
             g_ls = np.bincount(t, weights=row, minlength=n) * ls
 
         # Noise variances
-        g_noise = 0.5 * np.bincount(t, weights=np.diag(W), minlength=n)
+        g_noise = 0.5 * np.bincount(t, weights=W.reshape(-1)[:: self.m + 1], minlength=n)
         return _pack_gradient(A, L, g_ls, g_noise, theta_vec, noise_floor)
 
 
 # Magnitude bound on packed entries: keeps exp() and the Kc = L Lᵀ
 # products finite, so extreme line-search proposals reject cleanly
-# instead of overflowing.
+# instead of overflowing. After it, exp() of the length-scale entries
+# gives positive, finite length-scales, which the objective relies on.
 _THETA_CAP = 250.0
 
 
 def _check_theta(theta_vec):
-    if not np.all(np.isfinite(theta_vec)) or np.max(np.abs(theta_vec)) > _THETA_CAP:
+    if not (np.abs(theta_vec) <= _THETA_CAP).all():  # also false for NaN and ±inf
         raise NumericFailure("hyperparameter vector out of numeric range")
-
-
-def _covariance(prob: _Problem, theta_vec, mode, noise_floor):
-    _check_theta(theta_vec)
-    L, ls, noise = unpack_theta(theta_vec, prob.n_tasks, mode, noise_floor)
-    Kce = np.take(L @ L.T, prob.pair)  # Kc[t_p, t_q] for every entry
-    spatial = TrainingKernel(prob.r, prob.tasks, prob.pair, ls, mode)
-    K = Kce * spatial.value
-    K[np.diag_indices_from(K)] += noise[prob.tasks]
-    return K, (spatial, L, Kce, ls)
 
 
 def _pack_gradient(A, L, g_ls, g_noise, theta_vec, noise_floor):
@@ -264,7 +284,7 @@ class _KroneckerProblem:
     def __init__(self, Y: np.ndarray, locations: np.ndarray):
         self.y = Y  # n×m: the values of task i at location p in row i, column p
         self.n_tasks, self.m = Y.shape
-        self.r = cdist(locations, locations)
+        self.train = _TrainingSet(locations)
 
     @classmethod
     def from_dataset(cls, dataset: Dataset):
@@ -285,9 +305,9 @@ class _KroneckerProblem:
         """(lml, what :meth:`gradient` reuses), or (REJECTED, None)."""
         try:
             _check_theta(theta_vec)
-            L, ls, noise = unpack_theta(theta_vec, self.n_tasks, mode, noise_floor)
+            L, ls, noise = _unpack(theta_vec, self.n_tasks, 1, noise_floor)  # ICM: one l
             Kc = L @ L.T
-            spatial = TrainingKernel(self.r, None, None, ls, mode)  # ICM reads r, ls
+            spatial = TrainingKernel._of(self.train, ls, mode)
             s, V = _eigh(spatial.value)
             d, w, lam, U, G = _whitened_eigh(Kc, noise, s)
         except (NumericFailure, np.linalg.LinAlgError):
@@ -477,6 +497,7 @@ def fit(dataset: Dataset, config: FitConfig) -> FittedModel:
         restart_lmls.append(final_lml)
         if final_lml != REJECTED and (best is None or final_lml > best[1]):
             best = (x, final_lml)
+    del prob  # freed before the dense build below, which peaks at several M×M arrays
     if best is None:
         raise NumericFailure("all restarts rejected; hyperparameter search failed")
 

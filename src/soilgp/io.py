@@ -276,30 +276,48 @@ def read_model(path) -> ModelRecord:
             continue
         key, _, raw = ln.partition(" ")
         fields[key] = raw
-    try:
-        n_tasks = int(fields["n_tasks"])
-        record = ModelRecord(
-            labels=tuple(fields["labels"].split(",")),
-            theta=HyperParams([float(v) for v in fields["theta"].split()], n_tasks,
-                              KernelMode.parse(fields["mode"])),
-            norm_means=np.array([float(v) for v in fields["norm_means"].split()]),
-            norm_stds=np.array([float(v) for v in fields["norm_stds"].split()]),
-            noise_floor=float(fields["noise_floor"]),
-            data_digest=fields["data_digest"],
-            lml=float(fields["lml"]),
-        )
-    except KeyError as e:
-        raise ValueError(f"model file missing field {e.args[0]!r}")
+
+    def field(key, parse=str):
+        """The field's text through ``parse``; errors name the field."""
+        if key not in fields:
+            raise ValueError(f"model file missing field {key!r}")
+        try:
+            return parse(fields[key])
+        except ValueError as e:
+            raise ValueError(f"model file field {key}: {e}") from None
+
+    def floats(raw):
+        return np.array([float(v) for v in raw.split()])
+
+    n_tasks = field("n_tasks", int)
+    mode = field("mode", KernelMode.parse)
+    record = ModelRecord(
+        labels=tuple(field("labels").split(",")),
+        theta=field("theta", lambda raw: HyperParams(floats(raw), n_tasks, mode)),
+        norm_means=field("norm_means", floats),
+        norm_stds=field("norm_stds", floats),
+        noise_floor=field("noise_floor", float),
+        data_digest=field("data_digest"),
+        lml=field("lml", float),
+    )
     if len(record.labels) != n_tasks:
         raise ValueError("model file label count does not match n_tasks")
     return record
+
+
+# Relative bound on the difference between a model file's stored LML and
+# the LML of the model rebuilt from it. The rebuild repeats the fit's
+# final factorization on the same data, so the two agree to rounding.
+_LML_RTOL = 1e-9
 
 
 def model_from_record(record: ModelRecord, dataset: Dataset) -> FittedModel:
     """Rebuild a usable model from a record plus its training data.
 
     Refuses to proceed when the dataset digest does not match the one
-    stored at fit time.
+    stored at fit time, when the stored normalization statistics differ
+    from the data's (they are written exactly), or when the stored LML
+    differs from the rebuilt model's by more than ``_LML_RTOL`` relative.
     """
     digest = dataset_digest(dataset)
     if digest != record.data_digest:
@@ -308,7 +326,18 @@ def model_from_record(record: ModelRecord, dataset: Dataset) -> FittedModel:
         )
     if dataset.labels != record.labels:
         raise ValueError("task labels differ between model file and observations")
-    return condition(dataset, record.theta, record.noise_floor)
+    model = condition(dataset, record.theta, record.noise_floor)
+    for key, agrees in (
+        ("norm_means", np.array_equal(record.norm_means, model.stats.means)),
+        ("norm_stds", np.array_equal(record.norm_stds, model.stats.stds)),
+        ("lml", abs(record.lml - model.lml) <= _LML_RTOL * abs(model.lml)),
+    ):
+        if not agrees:
+            raise ValueError(
+                f"model file field {key}: the stored value differs from the model "
+                "rebuilt from the observations"
+            )
+    return model
 
 
 # ---------------------------------------------------------------------------

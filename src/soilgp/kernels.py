@@ -28,10 +28,10 @@ the optimizer never needs box constraints.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cholesky
+from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -156,17 +156,17 @@ def _cross(near, amp, diff, m_min):
     return np.where(near, m_min, amp * diff)
 
 
-def _cross_dli(near, amp, coef, weight3, lmin3, r, diff, m_i, e_min):
-    """∂k/∂l_i from the shared pieces: ``diff`` = l_i e_i − l_j e_j,
-    ``m_i`` the Matérn at l_i and ``e_min`` = e^(−√3 r/min(l_i, l_j)).
-    On the switch it differentiates the value computed there. Overwrites
-    the arrays ``coef`` and ``weight3``."""
+def _cross_dli(near, amp, coef, weight3, lmin3, r2, diff, m_i, e_min):
+    """∂k/∂l_i from the shared pieces: ``r2`` = r², ``diff`` =
+    l_i e_i − l_j e_j, ``m_i`` the Matérn at l_i and ``e_min`` =
+    e^(−√3 r/min(l_i, l_j)). On the switch it differentiates the value
+    computed there. Overwrites the arrays ``coef`` and ``weight3``."""
     exact = coef  # amp · (coef · diff + m_i)
     exact *= diff
     exact += m_i
     exact *= amp
     limit = weight3  # weight3 · r² / lmin3 · e_min
-    limit *= r**2
+    limit *= r2
     limit /= lmin3
     limit *= e_min
     return np.where(near, limit, exact)
@@ -215,9 +215,31 @@ def cross_matern32_dli(r, l_i, l_j):
     diff = li * ei - lj * np.exp(-SQRT3 * r / lj)
     e_min = np.exp(-SQRT3 * r / np.minimum(li, lj))
     out = _cross_dli(
-        near, amp, *_cross_pair_dli(li, lj, denom), r, diff, _matern32(zi, ei), e_min
+        near, amp, *_cross_pair_dli(li, lj, denom), r**2, diff, _matern32(zi, ei), e_min
     )
     return out if out.ndim else float(out)
+
+
+class _TrainingSet:
+    """What every kernel evaluation on one training set shares: z = √3 r
+    over every pair of its points ``xy``, its task index and the code
+    ``tasks[p]·n + tasks[q]`` of every entry. The length-scale
+    derivative's r² (CONVOLVED) or 3r² (ICM) is built on first use, so a
+    value-only use holds one M×M array. r is the cdist of the points
+    with themselves, which is exactly symmetric, as
+    :class:`TrainingKernel` needs."""
+
+    def __init__(self, xy, tasks=None, pair=None):
+        self.xy, self.tasks, self.pair = xy, tasks, pair
+        self.z = SQRT3 * cdist(xy, xy)
+
+    @cached_property
+    def r2(self):
+        return cdist(self.xy, self.xy) ** 2
+
+    @cached_property
+    def r2x3(self):
+        return 3.0 * cdist(self.xy, self.xy) ** 2
 
 
 class TrainingKernel:
@@ -225,39 +247,50 @@ class TrainingKernel:
     per hyperparameter point together with what its length-scale
     derivative reuses.
 
-    ``r`` is the set's distance matrix, which must be exactly symmetric
-    (as :func:`scipy.spatial.distance.cdist` of the set with itself is),
-    ``tasks`` its task index and ``pair`` the code ``tasks[p]·n + tasks[q]``
-    of every entry. On a symmetric ``r`` the row-length-scale exponential
-    e_i is the only one needed: e_j is its transpose, and the exponential
-    at min(l_i, l_j) picks between the two. ``value`` is bitwise equal to
-    :func:`matern32` (ICM) or :func:`cross_matern32` (CONVOLVED), and
-    :meth:`dl` to :func:`matern32_dl` or :func:`cross_matern32_dli`.
+    ``xy`` are the set's points, ``tasks`` its task index and ``pair`` the
+    code ``tasks[p]·n + tasks[q]`` of every entry. On the symmetric
+    distance matrix the row-length-scale exponential e_i is the only one
+    needed: e_j is its transpose, and the exponential at min(l_i, l_j)
+    picks between the two. ``value`` is bitwise equal to :func:`matern32`
+    (ICM) or :func:`cross_matern32` (CONVOLVED), and :meth:`dl` to
+    :func:`matern32_dl` or :func:`cross_matern32_dli`.
     """
 
-    def __init__(self, r, tasks, pair, lengthscales, mode: KernelMode):
-        self.r, self.pair, self.mode = r, pair, mode
+    def __init__(self, xy, tasks, pair, lengthscales, mode: KernelMode):
+        ls = _check_lengthscale(np.atleast_1d(lengthscales))
+        self._evaluate(_TrainingSet(xy, tasks, pair), ls, mode)
+
+    @classmethod
+    def _of(cls, train: _TrainingSet, ls, mode: KernelMode):
+        """The kernel at length-scales ``ls`` that the caller guarantees
+        positive and finite (the objective's, exponentials of capped θ)."""
+        self = cls.__new__(cls)
+        self._evaluate(train, ls, mode)
+        return self
+
+    def _evaluate(self, train, ls, mode):
+        self.train, self.mode = train, mode
         if mode is KernelMode.ICM:
             # a 0-d array, as in matern32: l**3 of a scalar rounds differently
-            l_row = self.l = _check_lengthscale(lengthscales[0])
+            l_row = self.l = np.asarray(ls[0])
         else:
-            ls = _check_lengthscale(lengthscales)
-            l_row = ls[tasks][:, None]
-        z = SQRT3 * r
-        z /= l_row
+            l_row = ls[train.tasks][:, None]
+        z = train.z / l_row
         self.e = np.negative(z)
         np.exp(self.e, out=self.e)  # e_i = e^(−√3 r/l_i)
         if mode is KernelMode.ICM:
             self.value = _matern32(z, self.e)
             return
 
-        self.li, self.lj = ls[:, None], ls[None, :]
-        near, self.denom, amp = _cross_pair(self.li, self.lj)  # n×n
-        self.near, self.amp = np.take(near, pair), np.take(amp, pair)
+        li, lj = ls[:, None], ls[None, :]
+        near, denom, amp = _cross_pair(li, lj)  # n×n
+        # ∂k/∂l_i's pair constants, gathered by dl() with one take
+        self.dl_pairs = np.array(_cross_pair_dli(li, lj, denom)).reshape(3, -1)
+        self.near, self.amp = near.take(train.pair), amp.take(train.pair)
         # The switch takes min(l_i, l_j), which is l_i wherever l_i = l_j;
         # only pairs inside the band with distinct length-scales need a
         # per-entry pick between an array and its transpose.
-        self.le = l_row <= l_row.T if np.any(near & (self.li != self.lj)) else None
+        self.le = l_row <= l_row.T if (near & (li != lj)).any() else None
         d = l_row * self.e
         self.diff = d - d.T
         self.m = _matern32(z, self.e)  # the Matérn at l_i
@@ -271,12 +304,13 @@ class TrainingKernel:
         """ICM: d value / d l. CONVOLVED: ∂k/∂l_i, the derivative with
         respect to the length-scale of each entry's row task."""
         if self.mode is KernelMode.ICM:
-            return _matern32_dl(self.r, self.l, self.e)
-        constants = np.stack(_cross_pair_dli(self.li, self.lj, self.denom))  # 3×n×n
-        coef, weight3, lmin3 = np.take(constants.reshape(3, -1), self.pair, axis=1)
+            out = self.train.r2x3 / self.l**3  # _matern32_dl, with 3r² built once
+            out *= self.e
+            return out
+        coef, weight3, lmin3 = self.dl_pairs.take(self.train.pair, axis=1)
         return _cross_dli(
-            self.near, self.amp, coef, weight3, lmin3, self.r, self.diff, self.m,
-            self._at_min(self.e),
+            self.near, self.amp, coef, weight3, lmin3, self.train.r2, self.diff,
+            self.m, self._at_min(self.e),
         )
 
 
@@ -386,8 +420,12 @@ def unpack_theta(
             f"theta dimension mismatch: got {theta.shape}, expected ({expected},) "
             f"for n_tasks={n_tasks}, mode={mode.value}"
         )
+    return _unpack(theta, n_tasks, mode.n_lengthscales(n_tasks), noise_floor)
+
+
+def _unpack(theta, n_tasks: int, n_ls: int, noise_floor: float):
+    """:func:`unpack_theta` of a float vector known to have its dimension."""
     n_tri = n_tasks * (n_tasks + 1) // 2
-    n_ls = mode.n_lengthscales(n_tasks)
     rows, cols, diag = _tril_slots(n_tasks)
     tri = theta[:n_tri].copy()
     tri[diag] = np.exp(tri[diag])
@@ -484,14 +522,18 @@ def chol_with_jitter(
     ladder is exhausted or the matrix is not finite; callers inside the
     optimizer treat that as a rejected hyperparameter draw, not a crash.
     """
-    if not np.all(np.isfinite(K)):
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"covariance must be square, got shape {K.shape}")
+    if not np.isfinite(K).all():
         raise NumericFailure("covariance contains non-finite entries")
     for jitter in ladder:
-        try:
-            Kj = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
-            return cholesky(Kj, lower=True, check_finite=False), jitter
-        except np.linalg.LinAlgError:
-            continue
+        Kj = K if jitter == 0.0 else K + jitter * np.eye(K.shape[0])
+        # the LAPACK call of scipy.linalg.cholesky(Kj, lower=True), without
+        # its argument handling, which cost more than the factorization
+        # itself at M = 12
+        Lf, info = dpotrf(Kj, lower=1, clean=1)
+        if info == 0:
+            return Lf, jitter
     raise NumericFailure(
         f"covariance not positive definite after jitter {ladder[-1]:g}"
     )

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from soilgp import cli, synthetic
@@ -93,12 +98,12 @@ def fitted(tmp_path_factory):
     return obs, model
 
 
-def with_theta(model, tmp_path, edit):
-    """A copy of a model file whose theta entries pass through ``edit``."""
+def with_field(model, tmp_path, key, edit):
+    """A copy of a model file whose ``key`` entries pass through ``edit``."""
     lines = model.read_text().splitlines()
     for k, line in enumerate(lines):
-        if line.startswith("theta "):
-            lines[k] = "theta " + " ".join(edit(line.split()[1:]))
+        if line.startswith(key + " "):
+            lines[k] = f"{key} " + " ".join(edit(line.split()[1:]))
     out = tmp_path / "edited_model.txt"
     out.write_text("\n".join(lines) + "\n")
     return out
@@ -140,7 +145,7 @@ class TestNonFiniteInputs:
 
     def test_correlations_model_nan_theta(self, capsys, tmp_path, fitted):
         _, model = fitted
-        bad = with_theta(model, tmp_path, lambda v: ["nan"] + v[1:])
+        bad = with_field(model, tmp_path, "theta", lambda v: ["nan"] + v[1:])
         code, _, err = run(capsys, "correlations", "--model", str(bad),
                            "--out", str(tmp_path / "corr.csv"))
         assert code == EXIT_DATA
@@ -149,7 +154,7 @@ class TestNonFiniteInputs:
 
     def test_correlations_model_extra_theta(self, capsys, tmp_path, fitted):
         obs, model = fitted
-        bad = with_theta(model, tmp_path, lambda v: v + ["0.5"])
+        bad = with_field(model, tmp_path, "theta", lambda v: v + ["0.5"])
         code, _, err = run(capsys, "correlations", "--model", str(bad),
                            "--out", str(tmp_path / "corr.csv"))
         assert code == EXIT_DATA
@@ -184,6 +189,51 @@ class TestNonFiniteInputs:
 
 
 FIELD = "ring,x_m,y_m\n0,0,0\n0,300,0\n0,300,170\n0,0,170\n"
+
+
+class TestModelFileFields:
+    """A model file's bad field exits 2 with a message naming the field:
+    at read time when its text does not parse, at rebuild time when a
+    stored value disagrees with the observations."""
+
+    @pytest.mark.parametrize("key, edit", [
+        ("n_tasks", lambda v: ["four"]),
+        ("theta", lambda v: v[:-1] + ["abc"]),
+        ("norm_means", lambda v: ["x"] + v[1:]),
+        ("norm_stds", lambda v: v[:-1] + ["1,5"]),
+        ("noise_floor", lambda v: ["tiny"]),
+        ("lml", lambda v: ["high"]),
+    ])
+    def test_unparsable_field_is_named(self, capsys, tmp_path, fitted, key, edit):
+        _, model = fitted
+        bad = with_field(model, tmp_path, key, edit)
+        code, _, err = run(capsys, "correlations", "--model", str(bad),
+                           "--out", str(tmp_path / "corr.csv"))
+        assert code == EXIT_DATA
+        assert f"model file field {key}:" in err
+        assert not (tmp_path / "corr.csv").exists()
+
+    @pytest.mark.parametrize("key, edit", [
+        ("norm_means", lambda v: [repr(float(v[0]) + 1e-9)] + v[1:]),
+        ("norm_stds", lambda v: ["nan"] * len(v)),
+        ("lml", lambda v: ["nan"]),
+        ("lml", lambda v: [repr(float(v[0]) * (1 + 1e-6))]),
+    ], ids=["norm_means", "norm_stds_nan", "lml_nan", "lml_off"])
+    def test_stored_value_checked_against_data(self, capsys, tmp_path, fitted, key, edit):
+        obs, model = fitted
+        bad = with_field(model, tmp_path, key, edit)
+        code, _, err = run(capsys, "map", "--model", str(bad), "--obs", str(obs),
+                           "--out-dir", str(tmp_path / "maps"))
+        assert code == EXIT_DATA
+        assert f"model file field {key}:" in err
+        assert not (tmp_path / "maps").exists()
+
+    def test_lml_within_rounding_accepted(self, capsys, tmp_path, fitted):
+        obs, model = fitted
+        ok = with_field(model, tmp_path, "lml", lambda v: [repr(float(v[0]) * (1 + 1e-12))])
+        code, _, _ = run(capsys, "map", "--model", str(ok), "--obs", str(obs),
+                         "--out-dir", str(tmp_path / "maps"), "--resolution", "50")
+        assert code == EXIT_OK
 
 
 class TestOversizedCounts:
@@ -403,6 +453,32 @@ class TestPipelineByteStability:
             for f in sorted((d / "maps").iterdir()):
                 blob += f.read_bytes()
             outputs.append(blob)
+        assert outputs[0] == outputs[1]
+
+    def test_fit_and_map_bytes_independent_of_blas_threads(self, capsys, tmp_path):
+        """At paper size (30 samples x 4 tasks, M = 120) fit and map write
+        the same bytes at one and at two BLAS threads, each thread count
+        set in its own process's environment."""
+        obs = tmp_path / "obs.csv"
+        assert main(["synth", "--out", str(obs), "--seed", "3"]) == EXIT_OK
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            d = tmp_path / f"threads{threads}"
+            d.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            for argv in (
+                ["fit", "--obs", str(obs), "--out", str(d / "model.txt"),
+                 "--restarts", "2"],
+                ["map", "--model", str(d / "model.txt"), "--obs", str(obs),
+                 "--out-dir", str(d / "maps"), "--resolution", "10"],
+            ):
+                subprocess.run([sys.executable, "-m", "soilgp.cli", *argv], env=env,
+                               check=True, capture_output=True, timeout=600)
+            files = [d / "model.txt", *sorted((d / "maps").iterdir())]
+            outputs.append({f.name: f.read_bytes() for f in files})
         assert outputs[0] == outputs[1]
 
 

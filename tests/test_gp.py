@@ -30,7 +30,15 @@ from soilgp.gp import (
     theta_from_moments,
 )
 from soilgp import gp as gp_module
-from soilgp.kernels import KernelMode, assemble_training_cov, chol_with_jitter
+from soilgp.kernels import (
+    KernelMode,
+    assemble_training_cov,
+    chol_with_jitter,
+    cross_matern32,
+    cross_matern32_dli,
+    matern32,
+    matern32_dl,
+)
 from soilgp.mapping import GridSpec, predict_map, rmse
 from soilgp.synthetic import SyntheticField, draw_field, prior_theta
 
@@ -133,6 +141,133 @@ class TestObjectiveCovariance:
         expected = assemble_training_cov(ds.task_index, ds.xy, L @ L.T, ls, noise, mode)
         assert len(factored) == 1
         assert np.array_equal(factored[0], expected)
+
+
+def dense_reference(theta, ds, noise_floor=gp_module.NOISE_FLOOR):
+    """The dense objective written out from the public kernels and scipy's
+    cholesky and cho_solve, in the library's order of operations:
+    (lml, gradient, Cholesky factor, α). Valid where no jitter is needed."""
+    n, mode, t, y = theta.n_tasks, theta.mode, ds.task_index, ds.values
+    L, ls, noise = theta.unpack(noise_floor)
+    Kc = L @ L.T
+    K = assemble_training_cov(t, ds.xy, Kc, ls, noise, mode)
+    Lf = cholesky(K, lower=True)
+    alpha = cho_solve((Lf, True), y)
+    lml = -0.5 * y @ alpha - np.log(np.diag(Lf)).sum() - 0.5 * len(y) * np.log(2.0 * np.pi)
+
+    r = cdist(ds.xy, ds.xy)
+    if mode is KernelMode.ICM:
+        S, dS = matern32(r, ls[0]), matern32_dl(r, ls[0])
+    else:
+        li, lj = ls[t][:, None], ls[t][None, :]
+        S, dS = cross_matern32(r, li, lj), cross_matern32_dli(r, li, lj)
+    W = np.outer(alpha, alpha) - cho_solve((Lf, True), np.eye(len(y)))
+    pair = t[:, None] * n + t[None, :]
+    A = np.bincount(pair.ravel(), weights=(W * S).ravel(), minlength=n * n).reshape(n, n)
+    WdS = W * Kc[np.ix_(t, t)] * dS
+    if mode is KernelMode.ICM:
+        g_ls = np.array([0.5 * np.sum(WdS) * ls[0]])
+    else:
+        g_ls = np.bincount(t, weights=np.sum(WdS, axis=1), minlength=n) * ls
+    g_noise = 0.5 * np.bincount(t, weights=np.diag(W), minlength=n)
+    rows, cols = np.tril_indices(n)
+    g_chol = (A @ L)[rows, cols]
+    g_chol[rows == cols] *= L.diagonal()
+    raw = np.exp(theta.values[-n:])
+    grad = np.concatenate([g_chol, g_ls, g_noise * raw * (raw > noise_floor)])
+    return lml, grad, Lf, alpha
+
+
+def with_lengthscales(theta, ls):
+    v = theta.values.copy()
+    n_tri = theta.n_tasks * (theta.n_tasks + 1) // 2
+    v[n_tri : n_tri + len(ls)] = np.log(ls)
+    return HyperParams(v, theta.n_tasks, theta.mode)
+
+
+class TestDenseObjectiveBitwise:
+    """The dense objective returns the bits of its reference: the public
+    kernels, the assembled covariance and scipy's cholesky/cho_solve."""
+
+    @staticmethod
+    def case(name):
+        conv, icm = KernelMode.CONVOLVED, KernelMode.ICM
+        if name == "homotopic_4":
+            return homotopic_instance(1101, 4, mode=conv, n_locations=30)
+        if name == "heterotopic":
+            return random_instance(1102, n_tasks=3, max_points=14, mode=conv)
+        if name == "one_task":
+            return random_instance(1103, n_tasks=1, max_points=10, mode=conv)
+        if name == "dense_icm":
+            return random_instance(1104, n_tasks=3, max_points=14, mode=icm)
+        if name == "in_band":  # distinct length-scales inside the switch's band
+            ds, theta = random_instance(1105, n_tasks=3, max_points=14, mode=conv)
+            return ds, with_lengthscales(theta, [40.0, 40.0 * (1 + 5e-5), 60.0])
+        if name == "ulp_convolved":
+            ds, theta = random_instance(1106, n_tasks=3, max_points=14, mode=conv)
+            u = ULP_LENGTHSCALE
+            return ds, with_lengthscales(theta, [u, u * (1 + 5e-5), u])
+        ds, theta = random_instance(1107, n_tasks=3, max_points=14, mode=icm)
+        return ds, with_lengthscales(theta, [ULP_LENGTHSCALE])
+
+    @staticmethod
+    def evaluate(prob, theta):
+        """(lml, state, gradient) of one evaluation at theta."""
+        floor = gp_module.NOISE_FLOOR
+        lml, state = prob.value(theta.values, theta.mode, floor)
+        return lml, state, prob.gradient(state, theta.values, theta.mode, floor)
+
+    @pytest.mark.parametrize("name", [
+        "homotopic_4", "heterotopic", "one_task", "dense_icm", "in_band",
+        "ulp_convolved", "ulp_icm",
+    ])
+    def test_value_and_gradient_bitwise(self, name):
+        ds, theta = self.case(name)
+        if name == "in_band":
+            ls = theta.unpack()[1]
+            assert ls[0] != ls[1] and abs(ls[0] - ls[1]) <= 1e-4 * max(ls[:2])
+        lml, state, grad = self.evaluate(gp_module._Problem(ds), theta)
+        ref_lml, ref_grad, ref_Lf, ref_alpha = dense_reference(theta, ds)
+        assert state[1] == 0.0  # no jitter, as the reference assumes
+        assert lml == ref_lml
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(state[0], ref_Lf)
+        assert np.array_equal(state[2], ref_alpha)
+
+    def test_states_do_not_share_memory(self):
+        ds, theta1 = self.case("heterotopic")
+        theta2 = HyperParams(theta1.values + 0.2, theta1.n_tasks, theta1.mode)
+        prob = gp_module._Problem(ds)
+        floor = gp_module.NOISE_FLOOR
+        lml1, state1 = prob.value(theta1.values, theta1.mode, floor)
+        kept = [state1[0].copy(), state1[2].copy()]
+        lml2, state2, grad2 = self.evaluate(prob, theta2)
+        grad1 = prob.gradient(state1, theta1.values, theta1.mode, floor)
+        for theta, lml, grad in ((theta1, lml1, grad1), (theta2, lml2, grad2)):
+            ref_lml, ref_grad, _, _ = dense_reference(theta, ds)
+            assert lml == ref_lml
+            assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(state1[0], kept[0])
+        assert np.array_equal(state1[2], kept[1])
+
+    def test_model_unchanged_by_later_evaluations(self, monkeypatch):
+        ds, theta = self.case("heterotopic")
+        problems = []
+
+        class Recorded(gp_module._Problem):
+            def __init__(self, dataset):
+                super().__init__(dataset)
+                problems.append(self)
+
+        monkeypatch.setattr(gp_module, "_Problem", Recorded)
+        model = condition(ds, theta)
+        kept = model.chol_factor.copy(), model.alpha.copy()
+        (prob,) = problems
+        other = HyperParams(theta.values - 0.3, theta.n_tasks, theta.mode)
+        for th in (other, theta, other):
+            self.evaluate(prob, th)
+        assert np.array_equal(model.chol_factor, kept[0])
+        assert np.array_equal(model.alpha, kept[1])
 
 
 class TestKroneckerPath:

@@ -323,7 +323,7 @@ class TestTrainingKernel:
         tasks, xy = random_layout(rng, 40, 3)
         r = cdist(xy, xy)
         pair = tasks[:, None] * 3 + tasks[None, :]
-        k = TrainingKernel(r, tasks, pair, ls, mode)
+        k = TrainingKernel(xy, tasks, pair, ls, mode)
         if mode is KernelMode.ICM:
             value, dl = matern32(r, ls[0]), matern32_dl(r, ls[0])
         else:
