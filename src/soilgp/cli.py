@@ -27,8 +27,7 @@ from .io import (
     parse_truth,
     read_model,
     write_correlation_matrix,
-    write_map_csv,
-    write_asc,
+    write_maps,
     write_model,
     write_observations,
     write_plan,
@@ -196,10 +195,7 @@ def _cmd_map(args):
     maps = predict_map(model, grid, denormalize=cfg.denormalize)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_map_csv(out_dir / f"{args.prefix}.csv", maps)
-    for pm in maps:
-        write_asc(out_dir / f"{args.prefix}_{pm.label}_mean.asc", grid, pm.mean)
-        write_asc(out_dir / f"{args.prefix}_{pm.label}_variance.asc", grid, pm.variance)
+    write_maps(out_dir, args.prefix, maps)
     print(f"wrote {len(maps)} mean + {len(maps)} variance surfaces "
           f"({grid.nx}x{grid.ny} cells) to {out_dir}")
     return EXIT_OK

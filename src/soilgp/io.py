@@ -31,7 +31,6 @@ __all__ = [
     "RunConfig",
     "SETTING_PARSERS",
     "parse_observations",
-    "serialize_observations",
     "write_observations",
     "dataset_digest",
     "parse_run_config",
@@ -41,6 +40,7 @@ __all__ = [
     "model_from_record",
     "write_map_csv",
     "write_asc",
+    "write_maps",
     "write_predictions",
     "parse_queries",
     "parse_truth",
@@ -167,17 +167,16 @@ def _observation_lines(dataset: Dataset):
         )
 
 
-def serialize_observations(dataset: Dataset) -> str:
-    return "\n".join([OBS_HEADER, *_observation_lines(dataset)]) + "\n"
-
-
 def write_observations(path, dataset: Dataset):
     _write_lines(path, OBS_HEADER, _observation_lines(dataset))
 
 
 def dataset_digest(dataset: Dataset) -> str:
-    """SHA-256 over the canonical observation serialization."""
-    return hashlib.sha256(serialize_observations(dataset).encode()).hexdigest()
+    """SHA-256 of the observation file ``write_observations`` writes."""
+    h = hashlib.sha256()
+    for line in (OBS_HEADER, *_observation_lines(dataset)):
+        h.update((line + "\n").encode())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -347,25 +346,48 @@ def model_from_record(record: ModelRecord, dataset: Dataset) -> FittedModel:
 MAP_HEADER = "task,x_m,y_m,mean,variance"
 
 
-def _map_lines(maps):
+def _text_rows(grid: GridSpec, values):
+    """Each grid row of ``values``, south to north, as a list of the
+    values' shortest-repr strings. The one place a map value becomes text,
+    so the CSV and the ASC grids print the same digits for it."""
+    for r in np.asarray(values, dtype=float).reshape(grid.ny, grid.nx):
+        yield list(map(repr, r.tolist()))
+
+
+def _map_lines(maps, asc_rows=None):
+    """The map CSV's lines, one newline-joined block per grid row.
+
+    Each value is formatted once. With ``asc_rows``, each map's mean and
+    variance grids, as one joined ASC row string per grid row (south to
+    north), go to ``asc_rows(pm, mean_rows, variance_rows)`` once the
+    map's lines are out, so only one map's text is held at a time.
+    """
     grid = None
     for pm in maps:
-        if pm.grid != grid:  # format each grid's cell centers once
+        if pm.grid != grid:  # format each grid's column and row centers once
             grid = pm.grid
-            centers = [f"{x!r},{y!r}" for x, y in grid.cell_centers.tolist()]
-        for xy, m, v in zip(centers, pm.mean.tolist(), pm.variance.tolist()):
-            yield f"{pm.label},{xy},{m!r},{v!r}"
+            centers = grid.cell_centers  # a meshgrid: x by column, y by row
+            xs = list(map(repr, centers[:grid.nx, 0].tolist()))
+            ys = list(map(repr, centers[::grid.nx, 1].tolist()))
+        mean_rows, variance_rows = [], []
+        for y, means, variances in zip(ys, _text_rows(grid, pm.mean),
+                                       _text_rows(grid, pm.variance)):
+            yield "\n".join([f"{pm.label},{x},{y},{m},{v}"
+                              for x, m, v in zip(xs, means, variances)])
+            if asc_rows is not None:
+                mean_rows.append(" ".join(means))
+                variance_rows.append(" ".join(variances))
+        if asc_rows is not None:
+            asc_rows(pm, mean_rows, variance_rows)
 
 
 def write_map_csv(path, maps: list[PropertyMap]):
     _write_lines(path, MAP_HEADER, _map_lines(maps))
 
 
-def write_asc(path, grid: GridSpec, values: np.ndarray):
-    """ESRI ASCII grid: 6-line header, then rows north to south."""
-    if values.shape != (grid.n_cells,):
-        raise ValueError("value count does not match grid")
-    rows = np.asarray(values, dtype=float).reshape(grid.ny, grid.nx)
+def _write_asc_rows(path, grid: GridSpec, rows: list[str]):
+    """ESRI ASCII grid: 6-line header, then ``rows`` (given south to
+    north, as the grid's cells run) north to south."""
     header = "\n".join([
         f"ncols {grid.nx}",
         f"nrows {grid.ny}",
@@ -374,8 +396,27 @@ def write_asc(path, grid: GridSpec, values: np.ndarray):
         f"cellsize {_fmt(grid.resolution)}",
         f"NODATA_value {_fmt(NODATA)}",
     ])
-    north_first = rows[::-1]  # internal rows run south→north
-    _write_lines(path, header, (" ".join(map(repr, r.tolist())) for r in north_first))
+    _write_lines(path, header, reversed(rows))
+
+
+def write_asc(path, grid: GridSpec, values: np.ndarray):
+    """ESRI ASCII grid: 6-line header, then rows north to south."""
+    if values.shape != (grid.n_cells,):
+        raise ValueError("value count does not match grid")
+    _write_asc_rows(path, grid, [" ".join(r) for r in _text_rows(grid, values)])
+
+
+def write_maps(out_dir, prefix: str, maps: list[PropertyMap]):
+    """Export ``maps`` in one pass: ``<prefix>.csv`` holding every map, as
+    ``write_map_csv`` writes it, and per map ``<prefix>_<label>_mean.asc``
+    and ``<prefix>_<label>_variance.asc``, as ``write_asc`` writes them."""
+    out_dir = Path(out_dir)
+
+    def write_grids(pm, mean_rows, variance_rows):
+        for kind, rows in (("mean", mean_rows), ("variance", variance_rows)):
+            _write_asc_rows(out_dir / f"{prefix}_{pm.label}_{kind}.asc", pm.grid, rows)
+
+    _write_lines(out_dir / f"{prefix}.csv", MAP_HEADER, _map_lines(maps, write_grids))
 
 
 def write_predictions(path, labels, result):

@@ -22,7 +22,6 @@ __all__ = [
     "SyntheticField",
     "correlation_matrix",
     "prior_theta",
-    "random_locations",
     "grid_locations",
     "draw_field",
 ]

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from soilgp.io import (
     read_model,
     write_asc,
     write_map_csv,
+    write_maps,
     write_model,
     write_observations,
     write_plan,
@@ -355,6 +358,20 @@ def _reference_map_csv(maps):
     return "\n".join(lines) + "\n"
 
 
+def _reference_export(prefix, maps):
+    """File name -> bytes of every file ``write_maps`` should write."""
+    files = {f"{prefix}.csv": _reference_map_csv(maps).encode()}
+    for pm in maps:
+        for kind in ("mean", "variance"):
+            files[f"{prefix}_{pm.label}_{kind}.asc"] = _reference_asc(
+                pm.grid, getattr(pm, kind)).encode()
+    return files
+
+
+def _read_tree(d):
+    return {f.name: f.read_bytes() for f in d.iterdir()}
+
+
 @st.composite
 def grids(draw):
     res = draw(st.sampled_from([0.1, 1.0, 2.5, 7.0, 1e-3]))
@@ -393,6 +410,41 @@ class TestWriterBytes:
         p = tmp_path_factory.mktemp("map") / "map.csv"
         write_map_csv(p, maps)
         assert p.read_bytes() == _reference_map_csv(maps).encode()
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_map_export_matches_per_value_repr_across_grids(self, tmp_path_factory, data):
+        a, b = data.draw(grids()), data.draw(grids())
+        maps = []
+        for i, grid in enumerate([a, b, a]):
+            mean = _values(data.draw, grid.n_cells)
+            var = np.abs(_values(data.draw, grid.n_cells))
+            maps.append(PropertyMap(f"t{i}", grid, mean, var, True))
+        d = tmp_path_factory.mktemp("export")
+        write_maps(d, "m", maps)
+        assert _read_tree(d) == _reference_export("m", maps)
+
+    def test_cli_map_matches_per_value_repr(self, tmp_path):
+        """The nine files ``soilgp map`` writes equal the per-value format
+        of the arrays ``predict_map`` returns for the same model and grid."""
+        from soilgp.cli import main
+        from soilgp.gp import condition, theta_from_moments
+        from soilgp.mapping import predict_map
+
+        ds, _ = draw_field(SyntheticField(n_samples=6, width=60.0, height=40.0), 9)
+        theta = theta_from_moments(
+            [1.0] * 4, np.eye(4), [20.0] * 4, [0.05] * 4, KernelMode.CONVOLVED
+        )
+        obs, model = tmp_path / "obs.csv", tmp_path / "model.txt"
+        write_observations(obs, ds)
+        write_model(model, condition(ds, theta), dataset_digest(ds))
+        out = tmp_path / "maps"
+        assert main(["map", "--model", str(model), "--obs", str(obs), "--out-dir",
+                     str(out), "--bounds", "0,0,60,40", "--resolution", "7"]) == 0
+        rebuilt = model_from_record(read_model(model), parse_observations(obs))
+        maps = predict_map(rebuilt, GridSpec(Rect(0, 0, 60, 40), 7.0))
+        assert _read_tree(out) == _reference_export("map", maps)
+        assert len(_read_tree(out)) == 9
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=60)
@@ -509,4 +561,55 @@ class TestStreamingWrite:
         ds = parse_observations(obs_file)
         out = tmp_path / "again.csv"
         write_observations(out, ds)
-        assert out.read_text() == io.serialize_observations(ds) == OBS_TEXT
+        assert out.read_text() == OBS_TEXT
+        assert dataset_digest(ds) == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def _export_maps(n_maps, seed=0):
+    grid = GridSpec(Rect(0.0, 0.0, 120.0, 60.0), 1.0)  # 7,200 cells
+    rng = np.random.default_rng(seed)
+    return [PropertyMap(f"t{i}", grid, rng.normal(size=grid.n_cells),
+                        rng.random(grid.n_cells), True) for i in range(n_maps)]
+
+
+class TestMapExport:
+    def test_memory_holds_one_maps_text_not_every_maps(self, tmp_path):
+        """Beyond its input maps, the export's traced peak is bounded by
+        one map's ASC text, and a 4-map export peaks within a quarter of
+        that text of a 1-map export on the same grid."""
+        maps = _export_maps(4)
+        maps[0].grid.cell_centers  # cached on the grid, as predict_map leaves it
+        one_map_text = sum(len(" ".join(map(repr, a.tolist())))
+                           for a in (maps[0].mean, maps[0].variance))
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write_maps(tmp_path, "m", maps[:n])
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(1), peak(4)
+        assert one < 2 * one_map_text
+        assert four < one + one_map_text / 4
+
+    def test_failed_target_leaves_old_or_complete_files_and_no_temp(self, tmp_path):
+        maps = _export_maps(3)
+        expected = _reference_export("m", maps)
+        blocked = "m_t1_variance.asc"
+        for name in expected:
+            if name != blocked:
+                (tmp_path / name).write_bytes(b"old\n")
+        (tmp_path / blocked).mkdir()
+        with pytest.raises(OSError):
+            write_maps(tmp_path, "m", maps)
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(expected)
+        assert (tmp_path / blocked).is_dir()
+        written = {name: (tmp_path / name).read_bytes()
+                   for name in expected if name != blocked}
+        assert all(v in (b"old\n", expected[name]) for name, v in written.items())
+        # the CSV is renamed into place only after the last map's grids
+        assert written["m.csv"] == b"old\n"
+        assert written["m_t0_mean.asc"] == expected["m_t0_mean.asc"]
