@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,12 +35,14 @@ from soilgp.kernels import (
     KernelMode,
     assemble_training_cov,
     chol_with_jitter,
+    cross_cov_table,
     cross_matern32,
     cross_matern32_dli,
     matern32,
     matern32_dl,
 )
 from soilgp.mapping import GridSpec, predict_map, rmse
+from soilgp import synthetic
 from soilgp.synthetic import SyntheticField, draw_field, prior_theta
 
 
@@ -845,6 +848,106 @@ class TestSamplePrior:
             tasks, xy, L_task @ L_task.T, ls, noise, KernelMode.CONVOLVED
         )
         np.testing.assert_allclose(empirical, expected, rtol=0.10, atol=0.02)
+
+    # (field, sample locations or None for random ones, truth points, mask)
+    GRID = [(x, y) for y in (10.0, 30.0, 50.0) for x in (5.0, 25.0, 45.0, 65.0)]
+    DRAWS = {
+        "convolved_truth": (SyntheticField(n_samples=12, width=80.0, height=60.0),
+                            GRID, np.array(GRID) + 3.0, None),
+        "icm_random": (SyntheticField(n_tasks=3, labels=("a", "b", "c"),
+                                      variances=(1.0, 2.0, 0.5),
+                                      correlations=((0, 2, -0.6),),
+                                      lengthscales=(30.0,), noise_vars=(0.1,) * 3,
+                                      n_samples=10, width=90.0, height=70.0,
+                                      mode=KernelMode.ICM),
+                       None, np.array(GRID[:7]) * 1.3, None),
+        "observed_mask": (SyntheticField(n_samples=12, width=80.0, height=60.0),
+                          GRID, None, np.arange(48).reshape(12, 4) % 3 != 1),
+        # the second truth point is the third sample location: one location
+        # carries each task twice, as a sample and as a truth point
+        "truth_on_sample": (SyntheticField(n_samples=12, width=80.0, height=60.0),
+                            GRID, np.array([(1.0, 2.0), GRID[2], (70.0, 55.0)]), None),
+    }
+
+    @staticmethod
+    def reference_draw(cfg, seed, truth_xy, observed, locations):
+        """draw_field written out from the public kernels: the dense
+        assemble_training_cov, K + 1e-10·I and scipy's cholesky, on the same
+        generator stream. Returns (the joint covariance, the training
+        values, the truth values or None)."""
+        rng = np.random.default_rng(seed)
+        if locations is None:
+            locations = rng.uniform((0.0, 0.0), (cfg.width, cfg.height),
+                                    size=(cfg.n_samples, 2))
+        L_task, ls, _ = prior_theta(cfg).unpack()
+        n, m = cfg.n_tasks, cfg.n_samples
+        g = 0 if truth_xy is None else len(truth_xy)
+        tasks = np.concatenate([np.tile(np.arange(n), m), np.repeat(np.arange(n), g)])
+        xy = np.repeat(np.asarray(locations, dtype=float), n, axis=0)
+        if g:
+            xy = np.vstack([xy, np.tile(truth_xy, (n, 1))])
+        K = assemble_training_cov(tasks, xy, L_task @ L_task.T, ls, np.zeros(n), cfg.mode)
+        latent = cholesky(K + 1e-10 * np.eye(len(tasks)), lower=True) @ rng.standard_normal(
+            len(tasks))
+        noise = rng.standard_normal(m * n) * np.sqrt(np.asarray(cfg.noise_vars))[tasks[: m * n]]
+        y = latent[: m * n] + noise
+        if observed is not None:
+            y = y[observed.reshape(-1)]
+        return K, y, None if g == 0 else latent[m * n :].reshape(n, g)
+
+    @pytest.mark.parametrize("budget", [None, 20_000], ids=["one_block", "blocks"])
+    @pytest.mark.parametrize("case", sorted(DRAWS))
+    def test_bitwise_equal_to_dense_reference(self, case, budget, monkeypatch):
+        cfg, locs, truth_xy, observed = self.DRAWS[case]
+        if budget is not None:
+            monkeypatch.setattr(synthetic, "_BLOCK_BYTES", budget)
+        factored, tables = [], []
+
+        def chol_spy(K, *args):
+            factored.append(K.copy())
+            return chol_with_jitter(K, *args)
+
+        def table_spy(*args):
+            tables.append(args[0].shape)
+            return cross_cov_table(*args)
+
+        monkeypatch.setattr(synthetic, "chol_with_jitter", chol_spy)
+        monkeypatch.setattr(synthetic, "cross_cov_table", table_spy)
+        ds, truth = draw_field(cfg, 21, truth_xy=truth_xy, observed=observed,
+                               locations=locs)
+        K, y, truth_values = self.reference_draw(cfg, 21, truth_xy, observed, locs)
+        if budget is None:
+            assert len(tables) == 1
+        else:  # every block of distinct locations, and at least three of them
+            assert len(tables) >= 3
+            assert sum(r for r, _ in tables) == tables[0][1]
+        (drawn_K,) = factored
+        assert np.array_equal(drawn_K, K)
+        assert np.array_equal(drawn_K, drawn_K.T)
+        assert np.array_equal(ds.values, y)
+        if truth_values is None:
+            assert truth is None
+        else:
+            assert np.array_equal(truth.values, truth_values)
+
+    def test_memory_holds_covariance_and_factor_only(self):
+        # 20 samples + 180 truth points, 4 tasks: N = 800. The dense
+        # assembly and the jittered factorization kept about eight N×N
+        # arrays alive; the draw needs two, the covariance and its factor.
+        cfg = SyntheticField(n_samples=20, width=100.0, height=80.0)
+        gx, gy = np.meshgrid(np.arange(18) * 5.0 + 2.0, np.arange(10) * 7.0 + 4.0)
+        truth_xy = np.column_stack([gx.ravel(), gy.ravel()])
+        square = (4 * (20 + len(truth_xy))) ** 2 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = draw_field(cfg, 5, truth_xy=truth_xy)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - before < 0.05 * square  # the outputs are small
+        assert peak - held < 2.5 * square
+        assert out[1].values.shape == (4, 180)
 
 
 class TestStructuralInvariants:

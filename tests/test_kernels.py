@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import cholesky
 from scipy.spatial.distance import cdist
 
 from conftest import ULP_LENGTHSCALE, naive_cov
@@ -322,8 +323,7 @@ class TestTrainingKernel:
         rng = np.random.default_rng(9)
         tasks, xy = random_layout(rng, 40, 3)
         r = cdist(xy, xy)
-        pair = tasks[:, None] * 3 + tasks[None, :]
-        k = TrainingKernel(xy, tasks, pair, ls, mode)
+        k = TrainingKernel(xy, tasks, ls, mode)
         if mode is KernelMode.ICM:
             value, dl = matern32(r, ls[0]), matern32_dl(r, ls[0])
         else:
@@ -426,3 +426,19 @@ class TestCholWithJitter:
     def test_rejects_non_finite(self):
         with pytest.raises(NumericFailure):
             chol_with_jitter(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("case", ["first_rung", "after_a_failed_rung"])
+    def test_jittered_rung_bitwise_scipy(self, case):
+        # K + jitter·I through scipy's cholesky, with K left untouched. The
+        # all-ones matrix fails without jitter (its second pivot is exactly
+        # 0), so the 1e-9 rung factors a fresh copy, not the failed one.
+        if case == "first_rung":
+            a = np.random.default_rng(4).standard_normal((30, 30))
+            K, ladder = a @ a.T, (1e-9,)
+        else:
+            K, ladder = np.ones((5, 5)), (0.0, 1e-9)
+        before = K.copy()
+        L, jitter = chol_with_jitter(K, ladder)
+        assert jitter == 1e-9
+        assert np.array_equal(L, cholesky(K + 1e-9 * np.eye(len(K)), lower=True))
+        assert np.array_equal(K, before)
