@@ -173,8 +173,11 @@ class _Problem:
         if not np.all(np.isfinite(self.y)):
             raise ValueError("observation values must be finite")
         self.m = len(self.y)
-        self.train = _TrainingSet(dataset.xy, t)
-        self._work = None  # the gradient's M×M workspaces and task-pair codes
+        # task-pair code t_p·n + t_q of every entry, in the narrowest
+        # unsigned type (one byte per entry for up to 16 tasks)
+        pair = (t[:, None] * n + t[None, :]).astype(np.min_scalar_type(n * n - 1))
+        self.train = _TrainingSet(dataset.xy, t, pair)
+        self._work = None  # the gradient's M×M workspaces
 
     def value(self, theta_vec, mode, noise_floor):
         """(lml, state), or (REJECTED, None). The state holds the Cholesky
@@ -184,7 +187,7 @@ class _Problem:
             L, ls, noise = _unpack(
                 theta_vec, self.n_tasks, mode.n_lengthscales(self.n_tasks), noise_floor
             )
-            Kce = self.train.entries(L @ L.T)  # Kc[t_p, t_q] for every entry
+            Kce = (L @ L.T).take(self.train.pair)  # Kc[t_p, t_q] for every entry
             spatial = TrainingKernel._of(self.train, ls, mode)
             K = Kce * spatial.value
             K.reshape(-1)[:: self.m + 1] += noise[self.tasks]  # the diagonal
@@ -205,13 +208,9 @@ class _Problem:
         t = self.tasks
         if self._work is None:
             # Built here, not in __init__: a value-only use (every fitted
-            # model's factorization) holds no gradient workspace, and no
-            # M² task-pair code t_p·n + t_q for the sums by task pair.
-            self._work = (
-                np.empty((self.m, self.m)), np.empty((self.m, self.m), order="F"),
-                (t[:, None] * n + t[None, :]).reshape(-1),
-            )
-        W, eye, pair = self._work
+            # model's factorization) holds no gradient workspace.
+            self._work = np.empty((self.m, self.m)), np.empty((self.m, self.m), order="F")
+        W, eye = self._work
         np.multiply(alpha[:, None], alpha[None, :], out=W)  # ααᵀ
         eye.fill(0.0)
         eye.T.reshape(-1)[:: self.m + 1] = 1.0
@@ -224,7 +223,9 @@ class _Problem:
 
         # Task factor: A_ab = Σ W∘S over the entries of task pair (a, b)
         np.multiply(W, spatial.value, out=WX)
-        A = np.bincount(pair, weights=WX.reshape(-1), minlength=n * n).reshape(n, n)
+        A = np.bincount(
+            self.train.pair.reshape(-1), weights=WX.reshape(-1), minlength=n * n
+        ).reshape(n, n)
 
         # Length-scales (ICM: dS/dl; CONVOLVED: ∂S/∂l of each entry's row task)
         np.multiply(W, Kce, out=WX)

@@ -222,21 +222,16 @@ def cross_matern32_dli(r, l_i, l_j):
 
 class _TrainingSet:
     """What every kernel evaluation on one training set shares: z = √3 r
-    over every pair of its points ``xy`` and its task index. The
-    length-scale derivative's r² (CONVOLVED) or 3r² (ICM) is built on
-    first use, so a value-only use holds one M×M array. r is the cdist of
-    the points with themselves, which is exactly symmetric, as
+    over every pair of its points ``xy``, its task index and the code
+    ``tasks[p]·n + tasks[q]`` of every entry. The length-scale
+    derivative's r² (CONVOLVED) or 3r² (ICM) is built on first use, so a
+    value-only use holds one M×M array. r is the cdist of the points
+    with themselves, which is exactly symmetric, as
     :class:`TrainingKernel` needs."""
 
-    def __init__(self, xy, tasks=None):
-        self.xy, self.tasks = xy, tasks
+    def __init__(self, xy, tasks=None, pair=None):
+        self.xy, self.tasks, self.pair = xy, tasks, pair
         self.z = SQRT3 * cdist(xy, xy)
-
-    def entries(self, table):
-        """``table[..., t_p, t_q]`` for every entry (p, q): an n×n table of
-        task pairs, or a stack of them, gathered per entry."""
-        t = self.tasks
-        return table[..., t, :][..., t]
 
     @cached_property
     def r2(self):
@@ -252,7 +247,8 @@ class TrainingKernel:
     per hyperparameter point together with what its length-scale
     derivative reuses.
 
-    ``xy`` are the set's points and ``tasks`` its task index. On the symmetric
+    ``xy`` are the set's points, ``tasks`` its task index and ``pair`` the
+    code ``tasks[p]·n + tasks[q]`` of every entry. On the symmetric
     distance matrix the row-length-scale exponential e_i is the only one
     needed: e_j is its transpose, and the exponential at min(l_i, l_j)
     picks between the two. ``value`` is bitwise equal to :func:`matern32`
@@ -260,9 +256,9 @@ class TrainingKernel:
     :func:`matern32_dl` or :func:`cross_matern32_dli`.
     """
 
-    def __init__(self, xy, tasks, lengthscales, mode: KernelMode):
+    def __init__(self, xy, tasks, pair, lengthscales, mode: KernelMode):
         ls = _check_lengthscale(np.atleast_1d(lengthscales))
-        self._evaluate(_TrainingSet(xy, tasks), ls, mode)
+        self._evaluate(_TrainingSet(xy, tasks, pair), ls, mode)
 
     @classmethod
     def _of(cls, train: _TrainingSet, ls, mode: KernelMode):
@@ -288,9 +284,9 @@ class TrainingKernel:
 
         li, lj = ls[:, None], ls[None, :]
         near, denom, amp = _cross_pair(li, lj)  # n×n
-        # ∂k/∂l_i's pair constants, gathered by dl() in one go
-        self.dl_pairs = np.array(_cross_pair_dli(li, lj, denom))
-        self.near, self.amp = train.entries(near), train.entries(amp)
+        # ∂k/∂l_i's pair constants, gathered by dl() with one take
+        self.dl_pairs = np.array(_cross_pair_dli(li, lj, denom)).reshape(3, -1)
+        self.near, self.amp = near.take(train.pair), amp.take(train.pair)
         # The switch takes min(l_i, l_j), which is l_i wherever l_i = l_j;
         # only pairs inside the band with distinct length-scales need a
         # per-entry pick between an array and its transpose.
@@ -311,7 +307,7 @@ class TrainingKernel:
             out = self.train.r2x3 / self.l**3  # _matern32_dl, with 3r² built once
             out *= self.e
             return out
-        coef, weight3, lmin3 = self.train.entries(self.dl_pairs)
+        coef, weight3, lmin3 = self.dl_pairs.take(self.train.pair, axis=1)
         return _cross_dli(
             self.near, self.amp, coef, weight3, lmin3, self.train.r2, self.diff,
             self.m, self._at_min(self.e),

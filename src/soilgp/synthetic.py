@@ -133,7 +133,7 @@ def _joint_cov(tasks, xy, task_cov_matrix, lengthscales, mode: KernelMode):
     starts = np.searchsorted(loc[order], np.arange(u + 1))
     # per location: its table rows and, on average, its gathered joint rows
     per_loc = 8 * (n * n * u + -(-m // u) * (n * u + m))
-    block = max(1, _BLOCK_BYTES // per_loc)
+    block = min(u, max(1, _BLOCK_BYTES // per_loc))
     table = np.empty((n, block, n * u))
     K = np.empty((m, m))
     for s in range(0, u, block):

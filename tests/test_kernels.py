@@ -323,7 +323,8 @@ class TestTrainingKernel:
         rng = np.random.default_rng(9)
         tasks, xy = random_layout(rng, 40, 3)
         r = cdist(xy, xy)
-        k = TrainingKernel(xy, tasks, ls, mode)
+        pair = tasks[:, None] * 3 + tasks[None, :]
+        k = TrainingKernel(xy, tasks, pair, ls, mode)
         if mode is KernelMode.ICM:
             value, dl = matern32(r, ls[0]), matern32_dl(r, ls[0])
         else:
