@@ -28,7 +28,6 @@ from .gp import (
 from .kernels import (
     KernelMode,
     NumericFailure,
-    assemble_cross_cov,
     assemble_training_cov,
     cross_matern32,
     matern32,

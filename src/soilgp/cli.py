@@ -15,6 +15,8 @@ from pathlib import Path
 from .data import Rect
 from .gp import FitConfig, NumericFailure, correlation_matrix, fit, predict_arrays
 from .io import (
+    _LABEL_RE,
+    MAX_TASK_LABELS,
     SETTING_PARSERS,
     RunConfig,
     dataset_digest,
@@ -248,6 +250,12 @@ _SYNTH_LENGTHSCALES = (40.0, 40.0, 60.0, 80.0)
 def _cmd_synth(args):
     labels = tuple(s.strip() for s in args.labels.split(","))
     n = len(labels)
+    # refused here by the rule fit reads them with, before anything is drawn
+    for label in labels:
+        if not _LABEL_RE.match(label):
+            raise ValueError(f"invalid task label {label!r}")
+    if n > MAX_TASK_LABELS:
+        raise ValueError(f"more than {MAX_TASK_LABELS} task labels")
     mode = args.mode
     locations = parse_plan(args.plan) if args.plan else None
     n_samples = len(locations) if locations is not None else args.n_samples

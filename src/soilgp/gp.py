@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 # cho_solve is no longer called here (the objective calls LAPACK's potrs
@@ -29,8 +30,8 @@ from .kernels import (
     NOISE_FLOOR,
     KernelMode,
     NumericFailure,
-    TrainingKernel,
-    _TrainingSet,
+    _joint_cov,
+    _Layout,
     _tril_slots,
     _unpack,
     chol_with_jitter,
@@ -141,6 +142,11 @@ class FittedModel:
     def mode(self) -> KernelMode:
         return self.theta.mode
 
+    @cached_property
+    def _layout(self) -> _Layout:
+        """The training rows' slots, which prediction gathers through."""
+        return _Layout(self.dataset.task_index, self.dataset.xy, self.n_tasks)
+
 
 @dataclass(frozen=True)
 class PredictionResult:
@@ -175,8 +181,9 @@ class _Problem:
         self.m = len(self.y)
         # task-pair code t_p·n + t_q of every entry, in the narrowest
         # unsigned type (one byte per entry for up to 16 tasks)
-        pair = (t[:, None] * n + t[None, :]).astype(np.min_scalar_type(n * n - 1))
-        self.train = _TrainingSet(dataset.xy, t, pair)
+        self.pair = (t[:, None] * n + t[None, :]).astype(np.min_scalar_type(n * n - 1))
+        self.layout = _Layout(t, dataset.xy, n)
+        self.blocks = list(self.layout.blocks(2))  # the spatial matrix and ∂/∂l
         self._work = None  # the gradient's M×M workspaces
 
     def value(self, theta_vec, mode, noise_floor):
@@ -187,9 +194,9 @@ class _Problem:
             L, ls, noise = _unpack(
                 theta_vec, self.n_tasks, mode.n_lengthscales(self.n_tasks), noise_floor
             )
-            Kce = (L @ L.T).take(self.train.pair)  # Kc[t_p, t_q] for every entry
-            spatial = TrainingKernel._of(self.train, ls, mode)
-            K = Kce * spatial.value
+            Kce = (L @ L.T).take(self.pair)  # Kc[t_p, t_q] for every entry
+            S, dS = _joint_cov(self.layout, self.blocks, None, ls, mode, dl=True)
+            K = Kce * S
             K.reshape(-1)[:: self.m + 1] += noise[self.tasks]  # the diagonal
             Lf, jitter = chol_with_jitter(K, JITTER_LADDER)
         except NumericFailure:
@@ -200,10 +207,10 @@ class _Problem:
             - np.log(Lf.diagonal()).sum()
             - 0.5 * self.m * LOG_2PI
         )
-        return lml, (Lf, jitter, alpha, (spatial, L, Kce, ls))
+        return lml, (Lf, jitter, alpha, (S, dS, L, Kce, ls))
 
     def gradient(self, state, theta_vec, mode, noise_floor):
-        Lf, _, alpha, (spatial, L, Kce, ls) = state
+        Lf, _, alpha, (S, dS, L, Kce, ls) = state
         n = self.n_tasks
         t = self.tasks
         if self._work is None:
@@ -222,14 +229,14 @@ class _Problem:
         WX = Kinv.T
 
         # Task factor: A_ab = Σ W∘S over the entries of task pair (a, b)
-        np.multiply(W, spatial.value, out=WX)
+        np.multiply(W, S, out=WX)
         A = np.bincount(
-            self.train.pair.reshape(-1), weights=WX.reshape(-1), minlength=n * n
+            self.pair.reshape(-1), weights=WX.reshape(-1), minlength=n * n
         ).reshape(n, n)
 
         # Length-scales (ICM: dS/dl; CONVOLVED: ∂S/∂l of each entry's row task)
         np.multiply(W, Kce, out=WX)
-        WX *= spatial.dl()
+        WX *= dS
         if mode is KernelMode.ICM:
             g_ls = np.array([0.5 * np.sum(WX) * ls[0]])
         else:
@@ -281,25 +288,25 @@ class _KroneckerProblem:
     agrees with the dense :class:`_Problem` to rounding, not bitwise.
     """
 
-    def __init__(self, Y: np.ndarray, locations: np.ndarray):
+    def __init__(self, Y: np.ndarray, r: np.ndarray):
         self.y = Y  # n×m: the values of task i at location p in row i, column p
         self.n_tasks, self.m = Y.shape
-        self.train = _TrainingSet(locations)
+        self.r = r  # the m×m distances between the locations
 
     @classmethod
     def from_dataset(cls, dataset: Dataset):
         """The problem of a homotopic dataset, in any row order; None when
         some location lacks a task or carries one twice."""
         n = dataset.n_tasks
-        locs, loc = np.unique(dataset.xy, axis=0, return_inverse=True)
-        slot = dataset.task_index * len(locs) + loc.ravel()
-        if len(slot) != n * len(locs) or np.bincount(slot).max() > 1:
+        layout = _Layout(dataset.task_index, dataset.xy, n)
+        slot = layout.slot
+        if len(slot) != n * layout.u or np.bincount(slot).max() > 1:
             return None
         if not np.all(np.isfinite(dataset.values)):
             raise ValueError("observation values must be finite")
         Y = np.empty(len(slot))
         Y[slot] = dataset.values
-        return cls(Y.reshape(n, len(locs)), locs)
+        return cls(Y.reshape(n, layout.u), layout.distances())
 
     def value(self, theta_vec, mode, noise_floor):
         """(lml, what :meth:`gradient` reuses), or (REJECTED, None)."""
@@ -307,8 +314,9 @@ class _KroneckerProblem:
             _check_theta(theta_vec)
             L, ls, noise = _unpack(theta_vec, self.n_tasks, 1, noise_floor)  # ICM: one l
             Kc = L @ L.T
-            spatial = TrainingKernel._of(self.train, ls, mode)
-            s, V = _eigh(spatial.value)
+            Ks, dKs = np.empty((2, self.m, self.m))  # the one-task table
+            cross_cov_table(self.r, (0,), None, ls, mode, Ks[None, None], dKs[None, None])
+            s, V = _eigh(Ks)
             d, w, lam, U, G = _whitened_eigh(Kc, noise, s)
         except (NumericFailure, np.linalg.LinAlgError):
             return REJECTED, None
@@ -322,17 +330,17 @@ class _KroneckerProblem:
             - 0.5 * (np.log(G).sum() + self.m * np.log(d).sum())
             - 0.5 * self.y.size * LOG_2PI
         )
-        return lml, (L, Kc, ls, spatial, s, V, lam, P, Ginv, alpha)
+        return lml, (L, Kc, ls, Ks, dKs, s, V, lam, P, Ginv, alpha)
 
     def gradient(self, state, theta_vec, mode, noise_floor):
-        L, Kc, ls, spatial, s, V, lam, P, Ginv, alpha = state
+        L, Kc, ls, Ks, dKs, s, V, lam, P, Ginv, alpha = state
         # Task factor: A = α Ks αᵀ − P diag(G⁻¹s) Pᵀ
-        A = _dot(_dot(alpha, spatial.value), alpha.T)
+        A = _dot(_dot(alpha, Ks), alpha.T)
         A -= (P * (Ginv @ s)) @ P.T
         # Length-scale: ½ Σ (αᵀKcα − V diag(ΛG⁻¹) Vᵀ) ∘ dKs · l
         B = _dot(alpha.T, _dot(Kc, alpha))
         B -= _dot(V * (lam @ Ginv), V.T)
-        B *= spatial.dl()
+        B *= dKs
         g_ls = np.array([0.5 * np.sum(B) * ls[0]])
         # Noise: ½ (Σ_p α_ip² − Σ_k P_ik² Σ_q G⁻¹_kq)
         g_noise = 0.5 * (np.sum(alpha**2, axis=1) - P**2 @ Ginv.sum(axis=1))
@@ -654,23 +662,22 @@ def _predict_blocks(model, tasks, xy, denormalize, include_noise, clamp):
     Points are taken in blocks sized by ``_BLOCK_BYTES``. Per block, the
     distances go to the training set's distinct locations once,
     :func:`kernels.cross_cov_table` evaluates the kernel for every task
-    pair from one exponential per length-scale, and each observation's
-    (task, location) slot gathers the rows' cross-covariance K*, bitwise
-    :func:`kernels.assemble_cross_cov`. One gemv gives the means K* α and
-    one triangular solve v = L⁻¹K*ᵀ the variances Kc_ii − vᵀv.
+    pair from one exponential per length-scale, and the model's layout
+    gathers each observation's column of the rows' cross-covariance K*.
+    One gemv gives the means K* α and one triangular solve v = L⁻¹K*ᵀ the
+    variances Kc_ii − vᵀv.
     """
     L_task, ls, noise = model.theta.unpack(model.noise_floor)
     Kc = L_task @ L_task.T
-    ds = model.dataset
-    locs, loc = np.unique(ds.xy, axis=0, return_inverse=True)
-    u = len(locs)
-    slot = ds.task_index * u + loc.ravel()
-    n, m, k, p = model.n_tasks, len(slot), len(tasks), len(xy)
-    # per point: k rows of the table (n·U) and of K* (M), the distances
-    # and up to two tables over them per length-scale, one transient
-    per_point = 8 * (k * (m + n * u) + 2 * (n + 1) * u)
+    layout = model._layout
+    n, u, m, k, p = model.n_tasks, layout.u, len(layout.tasks), len(tasks), len(xy)
+    # per point: k rows of the table (n·U) and of K* (M), a row of the
+    # gather index (M) and, transient, the distances and the table's
+    # per-task arrays over them
+    per_point = 8 * (k * (m + n * u) + m + (3 * n + k + 1) * u)
     block = max(1, _BLOCK_BYTES // per_point)
-    table = np.empty((k, block, n * u))
+    table = np.empty((k, n, block, u))
+    index = layout.index(0, np.arange(block)[:, None], block)
     Ks = np.zeros((_aligned(k * block), m))
 
     rows = list(tasks)
@@ -684,10 +691,11 @@ def _predict_blocks(model, tasks, xy, denormalize, include_noise, clamp):
         b = e - s
         if not np.all(np.isfinite(xy[s:e])):
             raise ValueError("query coordinates must be finite")
-        r = cdist(xy[s:e], locs)
-        tab = cross_cov_table(r, rows, Kc, ls, model.mode, table[:, :b])
+        r = cdist(xy[s:e], layout.locs)
+        cross_cov_table(r, rows, Kc, ls, model.mode, table[:, :, :b])
         q = _aligned(k * b)
-        np.take(tab, slot, axis=2, out=Ks[: k * b].reshape(k, b, m), mode="clip")
+        np.take(table.reshape(k, -1), index[:b], axis=1,
+                out=Ks[: k * b].reshape(k, b, m), mode="clip")
         mu = (Ks[:q] @ model.alpha)[: k * b].reshape(k, b)
         v = solve_triangular(
             model.chol_factor, Ks[:q].T, lower=True, overwrite_b=True,

@@ -20,6 +20,15 @@ observed at planar locations:
   15 × 15 grid at 10 m spacing: about −0.16), which the Cholesky's
   jitter ladder then rejects.
 
+Every covariance the package evaluates comes from one kernel table,
+:func:`cross_cov_table`, over the distinct locations: the dense
+objective's spatial matrix and its length-scale derivative, the
+eigen-path's spatial matrix, the synthetic draw's joint covariance and
+prediction's cross-covariance. A :class:`_Layout` gathers each row's
+entries from it through the row's (task, location) slot.
+:func:`matern32`, :func:`cross_matern32` and their derivatives write the
+pair formula out per entry; they are the table's bitwise references.
+
 All hyperparameters live in one packed unconstrained vector (see
 :func:`pack_theta`); positivity is enforced by log-parameterization, so
 the optimizer never needs box constraints.
@@ -28,7 +37,7 @@ the optimizer never needs box constraints.
 from __future__ import annotations
 
 import enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
@@ -43,12 +52,10 @@ __all__ = [
     "matern32_dl",
     "cross_matern32",
     "cross_matern32_dli",
-    "TrainingKernel",
     "theta_dim",
     "pack_theta",
     "unpack_theta",
     "assemble_training_cov",
-    "assemble_cross_cov",
     "cross_cov_table",
     "chol_with_jitter",
 ]
@@ -94,7 +101,7 @@ class NumericFailure(RuntimeError):
 
 def _check_lengthscale(l) -> np.ndarray:
     l = np.asarray(l, dtype=float)
-    if np.any(l <= 0) or not np.all(np.isfinite(l)):
+    if not ((l > 0) & np.isfinite(l)).all():  # also false for NaN
         raise ValueError("length-scale must be positive and finite")
     return l
 
@@ -220,141 +227,146 @@ def cross_matern32_dli(r, l_i, l_j):
     return out if out.ndim else float(out)
 
 
-class _TrainingSet:
-    """What every kernel evaluation on one training set shares: z = √3 r
-    over every pair of its points ``xy``, its task index and the code
-    ``tasks[p]·n + tasks[q]`` of every entry. The length-scale
-    derivative's r² (CONVOLVED) or 3r² (ICM) is built on first use, so a
-    value-only use holds one M×M array. r is the cdist of the points
-    with themselves, which is exactly symmetric, as
-    :class:`TrainingKernel` needs."""
-
-    def __init__(self, xy, tasks=None, pair=None):
-        self.xy, self.tasks, self.pair = xy, tasks, pair
-        self.z = SQRT3 * cdist(xy, xy)
-
-    @cached_property
-    def r2(self):
-        return cdist(self.xy, self.xy) ** 2
-
-    @cached_property
-    def r2x3(self):
-        return 3.0 * cdist(self.xy, self.xy) ** 2
+# Byte budget for one row block's temporaries in :func:`_joint_cov`: the
+# kernel tables of the block's locations and the joint rows gathered from
+# them.
+_BLOCK_BYTES = 1 << 20
 
 
-class TrainingKernel:
-    """Spatial correlation of a training set with itself, evaluated once
-    per hyperparameter point together with what its length-scale
-    derivative reuses.
+class _Layout:
+    """Where the rows of a joint covariance read their entries from a
+    kernel table. A row is a (task, point) pair; the table is taken over
+    the U distinct points, ``locs`` (sorted), and each row has its
+    location ``loc`` among them and its slot task·U + loc. Built once per
+    problem, model or draw."""
 
-    ``xy`` are the set's points, ``tasks`` its task index and ``pair`` the
-    code ``tasks[p]·n + tasks[q]`` of every entry. On the symmetric
-    distance matrix the row-length-scale exponential e_i is the only one
-    needed: e_j is its transpose, and the exponential at min(l_i, l_j)
-    picks between the two. ``value`` is bitwise equal to :func:`matern32`
-    (ICM) or :func:`cross_matern32` (CONVOLVED), and :meth:`dl` to
-    :func:`matern32_dl` or :func:`cross_matern32_dli`.
-    """
+    def __init__(self, tasks, xy, n_tasks: int):
+        self.tasks, self.n = tasks, n_tasks
+        # np.unique(xy, axis=0, return_inverse=True), in its order (which the
+        # eigen-path's bytes depend on), at a third of its cost
+        self.order = np.lexsort(xy.T[::-1])  # the rows by location, stably
+        xs = xy[self.order]
+        first = np.empty(len(xy), dtype=bool)
+        first[:1] = True
+        np.any(xs[1:] != xs[:-1], axis=1, out=first[1:])
+        self.locs = xs[first]
+        self.loc = np.empty(len(xy), dtype=np.intp)
+        self.loc[self.order] = np.cumsum(first) - 1
+        self.u = len(self.locs)
+        self.slot = tasks * self.u + self.loc
 
-    def __init__(self, xy, tasks, pair, lengthscales, mode: KernelMode):
-        ls = _check_lengthscale(np.atleast_1d(lengthscales))
-        self._evaluate(_TrainingSet(xy, tasks, pair), ls, mode)
+    def distances(self, s=0, e=None):
+        """Distances from the locations s to e to every location."""
+        return cdist(self.locs[s:e], self.locs)
 
-    @classmethod
-    def _of(cls, train: _TrainingSet, ls, mode: KernelMode):
-        """The kernel at length-scales ``ls`` that the caller guarantees
-        positive and finite (the objective's, exponentials of capped θ)."""
-        self = cls.__new__(cls)
-        self._evaluate(train, ls, mode)
-        return self
+    def index(self, a, b, block: int):
+        """Flat index of each row's entry in a :func:`cross_cov_table` of
+        ``block`` points, for the row task ``a`` at the table point ``b``."""
+        return (a * self.n * block + b) * self.u + (self.tasks * block * self.u + self.loc)
 
-    def _evaluate(self, train, ls, mode):
-        self.train, self.mode = train, mode
-        if mode is KernelMode.ICM:
-            # a 0-d array, as in matern32: l**3 of a scalar rounds differently
-            l_row = self.l = np.asarray(ls[0])
-        else:
-            l_row = ls[train.tasks][:, None]
-        z = train.z / l_row
-        self.e = np.negative(z)
-        np.exp(self.e, out=self.e)  # e_i = e^(−√3 r/l_i)
-        if mode is KernelMode.ICM:
-            self.value = _matern32(z, self.e)
-            return
-
-        li, lj = ls[:, None], ls[None, :]
-        near, denom, amp = _cross_pair(li, lj)  # n×n
-        # ∂k/∂l_i's pair constants, gathered by dl() with one take
-        self.dl_pairs = np.array(_cross_pair_dli(li, lj, denom)).reshape(3, -1)
-        self.near, self.amp = near.take(train.pair), amp.take(train.pair)
-        # The switch takes min(l_i, l_j), which is l_i wherever l_i = l_j;
-        # only pairs inside the band with distinct length-scales need a
-        # per-entry pick between an array and its transpose.
-        self.le = l_row <= l_row.T if (near & (li != lj)).any() else None
-        d = l_row * self.e
-        self.diff = d - d.T
-        self.m = _matern32(z, self.e)  # the Matérn at l_i
-        self.value = _cross(self.near, self.amp, self.diff, self._at_min(self.m))
-
-    def _at_min(self, a):
-        """``a``, given at l_i, on the switch entries at min(l_i, l_j)."""
-        return a if self.le is None else np.where(self.le, a, a.T)
-
-    def dl(self):
-        """ICM: d value / d l. CONVOLVED: ∂k/∂l_i, the derivative with
-        respect to the length-scale of each entry's row task."""
-        if self.mode is KernelMode.ICM:
-            out = self.train.r2x3 / self.l**3  # _matern32_dl, with 3r² built once
-            out *= self.e
-            return out
-        coef, weight3, lmin3 = self.dl_pairs.take(self.train.pair, axis=1)
-        return _cross_dli(
-            self.near, self.amp, coef, weight3, lmin3, self.train.r2, self.diff,
-            self.m, self._at_min(self.e),
-        )
+    def blocks(self, outputs: int = 1):
+        """The joint matrix in row blocks: per block of locations, the rows
+        that lie there (all of them, as a slice, when one block holds every
+        location), their flat index into the block's table, and the
+        block's distances. A block is sized so that ``outputs`` tables,
+        the rows gathered from them and the index stay within
+        ``_BLOCK_BYTES``."""
+        n, u, m = self.n, self.u, len(self.tasks)
+        per_loc = 8 * (outputs * n * n * u + -(-m // u) * (outputs + 1) * m)
+        block = min(u, max(1, _BLOCK_BYTES // per_loc))
+        starts = np.searchsorted(self.loc[self.order], range(0, u + block, block))
+        for k, s in enumerate(range(0, u, block)):
+            rows = slice(None) if block == u else self.order[starts[k] : starts[k + 1]]
+            idx = self.index(self.tasks[rows, None], self.loc[rows, None] - s, block)
+            yield rows, idx, self.distances(s, s + block)
 
 
-def cross_cov_table(r, rows, task_cov_matrix, lengthscales, mode: KernelMode, out):
-    """Covariance of query points with a set of locations, for every
-    (row task, column task) pair, written into ``out``.
+def cross_cov_table(r, rows, task_cov_matrix, lengthscales, mode: KernelMode, out,
+                    dl_out=None):
+    """Covariance of points with a set of locations, for every (row task,
+    column task) pair, written into ``out``.
 
     ``r`` is the B×U distance matrix from the points to the locations and
-    ``rows`` the row tasks; ``out`` is a k×B×(n·U) array (k = len(rows))
-    whose slot ``out[a, :, j·U:(j+1)·U]`` receives Kc[i, j] · k_ij(r) for
-    the row task i = rows[a].
-    Each distinct length-scale takes one exponential over ``r``, the pair
-    constants are computed at n×n, and the pairs (i, j) and (j, i) share
-    one spatial block, which the cross kernel makes bitwise symmetric.
-    Gathered through each observation's (task, location) slot, the
-    table is bitwise :func:`assemble_cross_cov`. The prediction core
-    builds K* through it, and the synthetic draw its joint covariance,
-    which is then bitwise :func:`assemble_training_cov` at zero noise.
+    ``rows`` the row tasks; ``out`` is a k×n×B×U array (k = len(rows))
+    whose block ``out[a, j]`` receives Kc[i, j] · k_ij(r) for the row task
+    i = rows[a], or k_ij(r) when ``task_cov_matrix`` is None. ``dl_out``,
+    in the same layout, receives ∂k_ij/∂l_i (ICM: dk/dl). The value is
+    bitwise :func:`matern32` (ICM) or :func:`cross_matern32`, and the
+    derivative :func:`matern32_dl` or :func:`cross_matern32_dli`.
+
+    Every length-scale takes one exponential over ``r`` and the pair
+    constants are computed at k×n. When every pair is on the
+    equal-length-scale switch (ICM, one task, or tied length-scales),
+    every block is the one Matérn and the pair arithmetic is skipped.
+    Gathered through a :class:`_Layout`, the table is the dense
+    objective's spatial matrix and its derivative, the synthetic draw's
+    joint covariance (see :func:`_joint_cov`) and the prediction core's
+    K*; for one task in ICM mode it is the eigen-path's spatial matrix
+    itself.
     """
-    n, u = task_cov_matrix.shape[0], r.shape[1]
+    n = out.shape[1]
+    rows = np.asarray(rows)
     ls = _check_lengthscale(lengthscales)
-    if mode is KernelMode.ICM:
-        ls = np.repeat(ls, n)  # one shared length-scale: every pair is on the switch
-    near, _, amp = _cross_pair(ls[:, None], ls[None, :])
-    m, d = {}, {}  # the Matérn at l and l·e^(−√3 r/l), per distinct l
-    for l in np.unique(ls):
+    kc = None if task_cov_matrix is None else task_cov_matrix[rows][:, :, None, None]
+    if (ls == ls[0]).all():
         z = SQRT3 * r
-        z /= l
+        z /= ls[0]
         e = np.exp(-z)
-        if not near.all():
-            d[l] = l * e
-        m[l] = _matern32(z, e)
-    spatial = {}  # per unordered task pair
-    for a, i in enumerate(rows):
-        for j in range(n):
-            pair = (min(i, j), max(i, j))
-            if pair not in spatial:
-                li, lj = ls[i], ls[j]
-                spatial[pair] = (
-                    m[min(li, lj)] if near[i, j] else amp[i, j] * (d[li] - d[lj])
-                )
-            slot = out[a, :, j * u : (j + 1) * u]
-            np.multiply(spatial[pair], task_cov_matrix[i, j], out=slot)
+        if dl_out is not None:  # ICM: _matern32_dl; on the switch: half of it
+            w = 3.0 if mode is KernelMode.ICM else 1.5
+            np.divide(w * (r * r), ls[:1] ** 3, out=dl_out)
+            dl_out *= e
+        m = _matern32(z, e)
+        if kc is None:
+            out[...] = m
+        else:
+            np.multiply(m, kc, out=out)
+        return out
+
+    li, lj = ls[rows][:, None], ls[None, :]
+    near, denom, amp = _cross_pair(li, lj)
+    z = (SQRT3 * r) / ls[:, None, None]  # per task: n×B×U
+    e = np.exp(-z)
+    d = ls[:, None, None] * e
+    m = _matern32(z, e)
+    lo = np.where(li <= lj, rows[:, None], np.arange(n))[near]  # task of min(l_i, l_j)
+    np.subtract(d[rows][:, None], d[None], out=out)  # l_i e_i − l_j e_j
+    if dl_out is not None:  # _cross_dli's operations, in its order
+        coef, weight3, lmin3 = _cross_pair_dli(li, lj, denom)
+        np.multiply(out, coef[:, :, None, None], out=dl_out)
+        dl_out += m[rows][:, None]
+        dl_out *= amp[:, :, None, None]
+        dl_out[near] = (weight3[near][:, None, None] * (r * r)
+                        / lmin3[near][:, None, None] * e[lo])
+    out *= amp[:, :, None, None]
+    out[near] = m[lo]
+    if kc is not None:
+        out *= kc
     return out
+
+
+def _joint_cov(layout: _Layout, blocks, task_cov_matrix, lengthscales, mode: KernelMode,
+               dl: bool = False):
+    """The layout's M×M joint covariance (with ``task_cov_matrix`` None,
+    its spatial correlation), and with ``dl`` also the spatial ∂/∂l_i of
+    each entry's row task (ICM: d/dl), as a list of M×M arrays. Each of
+    ``blocks`` (from :meth:`_Layout.blocks`) fills one
+    :func:`cross_cov_table` over its locations and gathers its rows from
+    it. Without noise, the covariance is bitwise
+    :func:`assemble_training_cov`; beyond the results, memory stays at
+    about ``_BLOCK_BYTES``."""
+    m = len(layout.tasks)
+    outs = [np.empty((m, m)) for _ in range(1 + dl)]
+    tables = None
+    for rows, idx, r in blocks:
+        if tables is None:  # the first block is the largest
+            tables = [np.empty((layout.n, layout.n) + r.shape) for _ in outs]
+        b = len(r)
+        cross_cov_table(r, np.arange(layout.n), task_cov_matrix, lengthscales, mode,
+                        *(t[:, :, :b] for t in tables))
+        for o, t in zip(outs, tables):
+            o[rows] = t.take(idx)
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -490,29 +502,6 @@ def assemble_training_cov(
     )
     K[np.diag_indices_from(K)] += noise[tasks]
     return K
-
-
-def assemble_cross_cov(
-    query_tasks,
-    query_xy,
-    tasks,
-    xy,
-    task_cov_matrix: np.ndarray,
-    lengthscales,
-    mode: KernelMode,
-) -> np.ndarray:
-    """Q×M covariance between query points and observations (no noise)."""
-    n = task_cov_matrix.shape[0]
-    q_tasks = _validate_tasks(query_tasks, n)
-    tasks = _validate_tasks(tasks, n)
-    q_xy = np.asarray(query_xy, dtype=float)
-    xy = np.asarray(xy, dtype=float)
-    if q_xy.shape != (q_tasks.size, 2) or xy.shape != (tasks.size, 2):
-        raise ValueError("coordinate array shape does not match task count")
-    r = cdist(q_xy, xy)
-    return task_cov_matrix[np.ix_(q_tasks, tasks)] * _spatial_block(
-        r, q_tasks, tasks, lengthscales, mode
-    )
 
 
 def chol_with_jitter(

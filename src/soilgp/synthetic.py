@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import Dataset, Location, Observation, make_dataset
 from .gp import HyperParams, theta_from_moments
-from .kernels import KernelMode, chol_with_jitter, cross_cov_table
+from .kernels import KernelMode, _joint_cov, _Layout, chol_with_jitter
 from .mapping import GroundTruth
 
 __all__ = [
@@ -64,6 +63,8 @@ class SyntheticField:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
 
 
 def correlation_matrix(cfg: SyntheticField) -> np.ndarray:
@@ -107,46 +108,6 @@ def grid_locations(cfg: SyntheticField) -> list[Location]:
     ]
 
 
-# Byte budget for one row block's temporaries in the joint covariance's
-# assembly: the kernel table of the block's locations and the block's
-# joint rows gathered from it.
-_BLOCK_BYTES = 1 << 20
-
-
-def _joint_cov(tasks, xy, task_cov_matrix, lengthscales, mode: KernelMode):
-    """The draw's N×N joint covariance, without noise: bitwise
-    :func:`kernels.assemble_training_cov` at zero noise variances.
-
-    It is built the way the prediction core builds K*: over the U
-    distinct locations, a block at a time, :func:`kernels.cross_cov_table`
-    evaluates every task pair from one exponential per distinct
-    length-scale, and each joint row of the block's locations is gathered
-    from it through its own and its columns' (task, location) slots.
-    Beyond the result, memory stays at about ``_BLOCK_BYTES``.
-    """
-    n, m = task_cov_matrix.shape[0], len(tasks)
-    locs, loc = np.unique(xy, axis=0, return_inverse=True)
-    loc = loc.ravel()
-    u = len(locs)
-    slot = tasks * u + loc
-    order = np.argsort(loc, kind="stable")  # the joint rows, by location
-    starts = np.searchsorted(loc[order], np.arange(u + 1))
-    # per location: its table rows and, on average, its gathered joint rows
-    per_loc = 8 * (n * n * u + -(-m // u) * (n * u + m))
-    block = min(u, max(1, _BLOCK_BYTES // per_loc))
-    table = np.empty((n, block, n * u))
-    K = np.empty((m, m))
-    for s in range(0, u, block):
-        e = min(s + block, u)
-        tab = cross_cov_table(
-            cdist(locs[s:e], locs), range(n), task_cov_matrix, lengthscales, mode,
-            table[:, : e - s],
-        )
-        rows = order[starts[s] : starts[e]]
-        K[rows] = tab[tasks[rows], loc[rows] - s].take(slot, axis=1)
-    return K
-
-
 def draw_field(
     cfg: SyntheticField,
     seed: int,
@@ -164,9 +125,10 @@ def draw_field(
     ``locations`` override the default uniform-random placement. The draw
     is dense, so more than ``MAX_DRAW_POINTS`` (samples + truth points) ×
     tasks is refused with ValueError before anything that size is built.
-    The joint covariance is assembled in row blocks through
-    :func:`kernels.cross_cov_table`, as the prediction core assembles K*,
-    and factored with a jitter of at least 1e-10.
+    The joint covariance is assembled in row blocks of the kernel table,
+    as the dense objective assembles its spatial matrix
+    (:func:`kernels._joint_cov`), and factored with a jitter of at least
+    1e-10.
     """
     rng = np.random.default_rng(seed)
     if locations is None:
@@ -200,8 +162,11 @@ def draw_field(
             f"{len(all_tasks)} exceeds {MAX_DRAW_POINTS}; use fewer samples or truth points"
         )
 
-    K = _joint_cov(all_tasks, all_xy, Kc, ls, cfg.mode)
-    Lf, _ = chol_with_jitter(K, (1e-10, 1e-9, 1e-8))
+    layout = _Layout(all_tasks, all_xy, n)
+    (K,) = _joint_cov(layout, layout.blocks(), Kc, ls, cfg.mode)
+    # K is bitwise symmetric, so its Fortran-ordered transpose view is K
+    # itself, and the factorization copies it with a plain memcpy
+    Lf, _ = chol_with_jitter(K.T, (1e-10, 1e-9, 1e-8))
     del K
     latent = Lf @ rng.standard_normal(len(all_tasks))
 

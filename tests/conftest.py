@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 
 from soilgp.data import Location, Observation, make_dataset
 from soilgp.gp import HyperParams
-from soilgp.kernels import KernelMode, assemble_cross_cov, theta_dim
+from soilgp.kernels import KernelMode, _spatial_block, _validate_tasks, theta_dim
 
 SQRT3 = math.sqrt(3.0)
 
@@ -54,6 +55,29 @@ def naive_cov(tasks, xy, Kc, ls, noise, mode):
             if p == q:
                 K[p, q] += noise[i]
     return K
+
+
+def assemble_cross_cov(
+    query_tasks,
+    query_xy,
+    tasks,
+    xy,
+    task_cov_matrix: np.ndarray,
+    lengthscales,
+    mode: KernelMode,
+) -> np.ndarray:
+    """Q×M covariance between query points and observations (no noise)."""
+    n = task_cov_matrix.shape[0]
+    q_tasks = _validate_tasks(query_tasks, n)
+    tasks = _validate_tasks(tasks, n)
+    q_xy = np.asarray(query_xy, dtype=float)
+    xy = np.asarray(xy, dtype=float)
+    if q_xy.shape != (q_tasks.size, 2) or xy.shape != (tasks.size, 2):
+        raise ValueError("coordinate array shape does not match task count")
+    r = cdist(q_xy, xy)
+    return task_cov_matrix[np.ix_(q_tasks, tasks)] * _spatial_block(
+        r, q_tasks, tasks, lengthscales, mode
+    )
 
 
 def dense_lml_oracle(theta: HyperParams, dataset) -> float:

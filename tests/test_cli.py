@@ -392,6 +392,28 @@ class TestSynth:
             draws.append(out.read_bytes())
         assert draws[0] == draws[1]
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_below_one_refused(self, capsys, tmp_path, count):
+        out = tmp_path / "o.csv"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--n-samples", count)
+        assert code == EXIT_DATA
+        assert f"n_samples must be at least 1, got {count}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--labels", ",N"), "invalid task label ''"),
+        (("--labels", "p H,N"), "invalid task label 'p H'"),
+        (("--labels", ",".join(f"T{i}" for i in range(17)), "--mode", "icm"),
+         "more than 16 task labels"),
+    ], ids=["empty", "space", "seventeen_icm"])
+    def test_labels_fit_would_refuse(self, capsys, tmp_path, argv, message):
+        # fit reads the observation file with this rule and exits 2 on it
+        out = tmp_path / "o.csv"
+        code, _, err = run(capsys, "synth", "--out", str(out), *argv)
+        assert code == EXIT_DATA
+        assert message in err
+        assert not out.exists()
+
     def test_five_tasks_need_lengthscales(self, capsys, tmp_path):
         code, _, err = run(capsys, "synth", "--out", str(tmp_path / "o.csv"),
                            "--labels", "pH,N,P,K,Ca")

@@ -11,10 +11,12 @@ from scipy.spatial.distance import cdist
 
 from conftest import (
     ULP_LENGTHSCALE,
+    assemble_cross_cov,
     dense_lml_oracle,
     fd_gradient_oracle,
     homotopic_instance,
     random_instance,
+    random_theta,
     reference_prediction,
 )
 from soilgp.data import Location, Observation, Rect, make_dataset, normalize
@@ -31,6 +33,7 @@ from soilgp.gp import (
     theta_from_moments,
 )
 from soilgp import gp as gp_module
+from soilgp import kernels
 from soilgp.kernels import (
     KernelMode,
     assemble_training_cov,
@@ -144,6 +147,32 @@ class TestObjectiveCovariance:
         expected = assemble_training_cov(ds.task_index, ds.xy, L @ L.T, ls, noise, mode)
         assert len(factored) == 1
         assert np.array_equal(factored[0], expected)
+
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_memory_on_a_layout_without_shared_locations(self, mode):
+        # 4 tasks at M = 400 distinct locations, one observation each: the
+        # table over every (task, location) pair would be 16 M², so the
+        # objective builds it in row blocks. Building the problem, its
+        # value and its gradient peaked at 15.3 M×M arrays (CONVOLVED) and
+        # 9.1 (ICM) through the objective's per-entry M×M kernel.
+        rng = np.random.default_rng(1108)
+        m, n = 400, 4
+        obs = [Observation(f"S{j + 1:03d}", Location(*rng.uniform(0, 300, 2)), j % n,
+                           float(rng.normal())) for j in range(m)]
+        ds = make_dataset(obs, n)
+        theta = random_theta(rng, n, mode, 1e-3)
+        floor = gp_module.NOISE_FLOOR
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prob = gp_module._Problem(ds)
+            lml, state = prob.value(theta.values, mode, floor)
+            prob.gradient(state, theta.values, mode, floor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(lml)
+        assert peak - before < 9.5 * m * m * 8
 
 
 def dense_reference(theta, ds, noise_floor=gp_module.NOISE_FLOOR):
@@ -624,8 +653,6 @@ class TestPredict:
         xy = rng.uniform(-10, 110, (200, 2))
         L_task, ls, _ = model.theta.unpack(model.noise_floor)
         Kc = L_task @ L_task.T
-        from soilgp.kernels import assemble_cross_cov
-
         Ks = assemble_cross_cov(
             tasks, xy, model.dataset.task_index, model.dataset.xy, Kc, ls, model.mode
         )
@@ -900,7 +927,7 @@ class TestSamplePrior:
     def test_bitwise_equal_to_dense_reference(self, case, budget, monkeypatch):
         cfg, locs, truth_xy, observed = self.DRAWS[case]
         if budget is not None:
-            monkeypatch.setattr(synthetic, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(kernels, "_BLOCK_BYTES", budget)
         factored, tables = [], []
 
         def chol_spy(K, *args):
@@ -912,7 +939,7 @@ class TestSamplePrior:
             return cross_cov_table(*args)
 
         monkeypatch.setattr(synthetic, "chol_with_jitter", chol_spy)
-        monkeypatch.setattr(synthetic, "cross_cov_table", table_spy)
+        monkeypatch.setattr(kernels, "cross_cov_table", table_spy)
         ds, truth = draw_field(cfg, 21, truth_xy=truth_xy, observed=observed,
                                locations=locs)
         K, y, truth_values = self.reference_draw(cfg, 21, truth_xy, observed, locs)

@@ -6,12 +6,13 @@ from scipy.integrate import quad
 from scipy.linalg import cholesky
 from scipy.spatial.distance import cdist
 
-from conftest import ULP_LENGTHSCALE, naive_cov
+from conftest import ULP_LENGTHSCALE, assemble_cross_cov, naive_cov
+from soilgp import kernels
 from soilgp.kernels import (
     KernelMode,
     NumericFailure,
-    TrainingKernel,
-    assemble_cross_cov,
+    _joint_cov,
+    _Layout,
     assemble_training_cov,
     chol_with_jitter,
     cross_cov_table,
@@ -302,9 +303,10 @@ class TestAssembleTrainingCov:
 
 
 class TestTrainingKernel:
-    """The objective's one-pass kernel reproduces the public value and
-    derivative functions bit for bit, on and off the equal-length-scale
-    switch."""
+    """The dense objective's spatial matrix and its length-scale
+    derivative, gathered from the kernel table through the training set's
+    layout, reproduce the public value and derivative functions bit for
+    bit, on and off the equal-length-scale switch."""
 
     CASES = {
         "icm": (KernelMode.ICM, [23.0]),
@@ -318,20 +320,33 @@ class TestTrainingKernel:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_bitwise_equal_to_public_kernels(self, case):
+        self.check(case)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_in_row_blocks(self, case, monkeypatch):
+        # a 20,000-byte budget takes the 40 locations two at a time
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 20_000)
+        assert self.check(case) == 20
+
+    def check(self, case):
+        """Compares the table route with the public kernels on one
+        layout; returns the number of row blocks it took."""
         mode, ls = self.CASES[case]
         ls = np.array(ls)
         rng = np.random.default_rng(9)
         tasks, xy = random_layout(rng, 40, 3)
         r = cdist(xy, xy)
-        pair = tasks[:, None] * 3 + tasks[None, :]
-        k = TrainingKernel(xy, tasks, pair, ls, mode)
+        layout = _Layout(tasks, xy, 3)
+        blocks = list(layout.blocks(2))
+        value_table, dl_table = _joint_cov(layout, blocks, None, ls, mode, dl=True)
         if mode is KernelMode.ICM:
             value, dl = matern32(r, ls[0]), matern32_dl(r, ls[0])
         else:
             li, lj = ls[tasks][:, None], ls[tasks][None, :]
             value, dl = cross_matern32(r, li, lj), cross_matern32_dli(r, li, lj)
-        assert np.array_equal(k.value, value)
-        assert np.array_equal(k.dl(), dl)
+        assert np.array_equal(value_table, value)
+        assert np.array_equal(dl_table, dl)
+        return len(blocks)
 
     def test_scalar_derivatives_are_floats(self):
         assert isinstance(matern32_dl(5.0, 12.0), float)
@@ -393,9 +408,12 @@ class TestAssembleCrossCov:
         Kc = L @ L.T
         q_xy = rng.uniform(-10, 90, (11, 2))
         rows = (2, 0, 1)
-        table = np.empty((3, 11, 3 * 7))
-        cross_cov_table(cdist(q_xy, locs), rows, Kc, ls, mode, table)
-        gathered = np.take(table, tasks * 7 + loc, axis=2)
+        layout = _Layout(tasks, locs[loc], 3)
+        table = np.empty((3, 3, 11, 7))
+        cross_cov_table(cdist(q_xy, layout.locs), rows, Kc, ls, mode, table)
+        gathered = np.take(
+            table.reshape(3, -1), layout.index(0, np.arange(11)[:, None], 11), axis=1
+        )
         for a, i in enumerate(rows):
             expected = assemble_cross_cov(
                 np.full(11, i), q_xy, tasks, locs[loc], Kc, ls, mode
