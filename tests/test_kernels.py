@@ -356,6 +356,20 @@ class TestTrainingKernel:
         )
 
 
+class TestLayout:
+    def test_locations_in_unique_order(self):
+        # np.unique's sorted order: the eigen-path's spatial matrix, and so
+        # its rounding, follows it. Points 3 and 5 share x, so y decides.
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(0, 50, (9, 2))
+        pts[3, 0] = pts[5, 0]
+        xy = pts[rng.integers(0, 9, 40)]
+        layout = _Layout(rng.integers(0, 3, 40), xy, 3)
+        locs, loc = np.unique(xy, axis=0, return_inverse=True)
+        assert np.array_equal(layout.locs, locs)
+        assert np.array_equal(layout.loc, loc.ravel())
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the cross kernel is the 1-D convolution of two Matérn 3/2 kernels; "
