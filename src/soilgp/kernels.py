@@ -294,8 +294,8 @@ def cross_cov_table(r, rows, task_cov_matrix, lengthscales, mode: KernelMode, ou
     bitwise :func:`matern32` (ICM) or :func:`cross_matern32`, and the
     derivative :func:`matern32_dl` or :func:`cross_matern32_dli`.
 
-    Every length-scale takes one exponential over ``r`` and the pair
-    constants are computed at k×n. When every pair is on the
+    Each task's length-scale (ICM: the one) takes one exponential over
+    ``r``, and the pair constants are computed at k×n. When every pair is on the
     equal-length-scale switch (ICM, one task, or tied length-scales),
     every block is the one Matérn and the pair arithmetic is skipped.
     Gathered through a :class:`_Layout`, the table is the dense
