@@ -30,6 +30,7 @@ from .kernels import (
     NOISE_FLOOR,
     KernelMode,
     NumericFailure,
+    _joint_chol,
     _joint_cov,
     _Layout,
     _tril_slots,
@@ -174,10 +175,7 @@ class _Problem:
     def __init__(self, dataset: Dataset):
         self.n_tasks = n = dataset.n_tasks
         self.tasks = t = dataset.task_index
-        self.y = dataset.values
-        # checked once here, so the per-evaluation solves can skip it
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("observation values must be finite")
+        self.y = dataset.values  # finite: Observation refuses any other value
         self.m = len(self.y)
         # task-pair code t_p·n + t_q of every entry, in the narrowest
         # unsigned type (one byte per entry for up to 16 tasks)
@@ -201,12 +199,7 @@ class _Problem:
             Lf, jitter = chol_with_jitter(K, JITTER_LADDER)
         except NumericFailure:
             return REJECTED, None
-        alpha, _ = dpotrs(Lf, self.y, lower=1)  # cho_solve((Lf, True), y)
-        lml = (
-            -0.5 * self.y @ alpha
-            - np.log(Lf.diagonal()).sum()
-            - 0.5 * self.m * LOG_2PI
-        )
+        alpha, lml = _solve(Lf, self.y)
         return lml, (Lf, jitter, alpha, (S, dS, L, Kce, ls))
 
     def gradient(self, state, theta_vec, mode, noise_floor):
@@ -214,8 +207,8 @@ class _Problem:
         n = self.n_tasks
         t = self.tasks
         if self._work is None:
-            # Built here, not in __init__: a value-only use (every fitted
-            # model's factorization) holds no gradient workspace.
+            # Built here, not in __init__: a value-only use
+            # (log_marginal_likelihood) holds no gradient workspace.
             self._work = np.empty((self.m, self.m)), np.empty((self.m, self.m), order="F")
         W, eye = self._work
         np.multiply(alpha[:, None], alpha[None, :], out=W)  # ααᵀ
@@ -260,6 +253,12 @@ def _check_theta(theta_vec):
         raise NumericFailure("hyperparameter vector out of numeric range")
 
 
+def _solve(Lf, y):
+    """(α = K⁻¹y, the LML) from the lower Cholesky factor of K."""
+    alpha, _ = dpotrs(Lf, y, lower=1)  # cho_solve((Lf, True), y)
+    return alpha, -0.5 * y @ alpha - np.log(Lf.diagonal()).sum() - 0.5 * len(y) * LOG_2PI
+
+
 def _pack_gradient(A, L, g_ls, g_noise, theta_vec, noise_floor):
     """The packed gradient from the task-factor term A (the LML's
     gradient in Kc is ½A), the length-scale gradient in log space and
@@ -302,8 +301,6 @@ class _KroneckerProblem:
         slot = layout.slot
         if len(slot) != n * layout.u or np.bincount(slot).max() > 1:
             return None
-        if not np.all(np.isfinite(dataset.values)):
-            raise ValueError("observation values must be finite")
         Y = np.empty(len(slot))
         Y[slot] = dataset.values
         return cls(Y.reshape(n, layout.u), layout.distances())
@@ -505,7 +502,7 @@ def fit(dataset: Dataset, config: FitConfig) -> FittedModel:
         restart_lmls.append(final_lml)
         if final_lml != REJECTED and (best is None or final_lml > best[1]):
             best = (x, final_lml)
-    del prob  # freed before the dense build below, which peaks at several M×M arrays
+    del prob  # freed before the dense build below, which holds one M×M array
     if best is None:
         raise NumericFailure("all restarts rejected; hyperparameter search failed")
 
@@ -527,11 +524,14 @@ def condition(
 
 
 def _build_model(norm_ds, stats, theta, noise_floor, restart_lmls) -> FittedModel:
-    # always dense: prediction needs the Cholesky factor
-    lml, state = _Problem(norm_ds).value(theta.values, theta.mode, noise_floor)
-    if lml == REJECTED:
-        raise NumericFailure("covariance rejected at the selected hyperparameters")
-    Lf, jitter, alpha, _ = state
+    # always dense: prediction needs the Cholesky factor (the objective's, bitwise)
+    _check_tasks(theta, norm_ds)
+    _check_theta(theta.values)
+    L, ls, noise = theta.unpack(noise_floor)
+    t = norm_ds.task_index
+    Lf, jitter = _joint_chol(_Layout(t, norm_ds.xy, theta.n_tasks), L @ L.T, ls, theta.mode,
+                             noise[t], JITTER_LADDER)
+    alpha, lml = _solve(Lf, norm_ds.values)
     Lf.flags.writeable = False
     alpha.flags.writeable = False
     return FittedModel(

@@ -354,7 +354,7 @@ def _joint_cov(layout: _Layout, blocks, task_cov_matrix, lengthscales, mode: Ker
     :func:`cross_cov_table` over its locations and gathers its rows from
     it. Without noise, the covariance is bitwise
     :func:`assemble_training_cov`; beyond the results, memory stays at
-    about ``_BLOCK_BYTES``."""
+    about ``_BLOCK_BYTES``; :func:`_joint_chol` factors it in place."""
     m = len(layout.tasks)
     outs = [np.empty((m, m)) for _ in range(1 + dl)]
     tables = None
@@ -518,19 +518,37 @@ def chol_with_jitter(
     """
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"covariance must be square, got shape {K.shape}")
-    if not np.isfinite(K).all():
-        raise NumericFailure("covariance contains non-finite entries")
-    Kj = np.empty(K.shape, order="F")
+    return _chol_in_place(lambda: np.array(K, order="F"), ladder)
+
+
+def _chol_in_place(build, ladder):
+    """:func:`chol_with_jitter` of the new Fortran-ordered array ``build``
+    returns per rung, factored in its own memory. A failed rung drops its
+    array, which potrf overwrote, before the next rung builds K again."""
     for jitter in ladder:
-        Kj[...] = K
+        K = build()
+        if not np.isfinite(K).all():
+            raise NumericFailure("covariance contains non-finite entries")
         if jitter != 0.0:
-            Kj.T.reshape(-1)[:: K.shape[0] + 1] += jitter  # the diagonal
-        # the LAPACK call of scipy.linalg.cholesky(Kj, lower=True), without
+            K.T.reshape(-1)[:: K.shape[0] + 1] += jitter  # the diagonal
+        # the LAPACK call of scipy.linalg.cholesky(K, lower=True), without
         # its argument handling, which cost more than the factorization
         # itself at M = 12
-        Lf, info = dpotrf(Kj, lower=1, clean=1, overwrite_a=1)
+        Lf, info = dpotrf(K, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return Lf, jitter
+        del K, Lf
     raise NumericFailure(
         f"covariance not positive definite after jitter {ladder[-1]:g}"
     )
+
+
+def _joint_chol(layout, task_cov_matrix, lengthscales, mode, diag, ladder):
+    """:func:`chol_with_jitter` of the layout's joint covariance plus ``diag``
+    on its diagonal, in one M×M array: K is bitwise symmetric, so its
+    transpose view is the Fortran-ordered K that LAPACK factors in place."""
+    def build():
+        (K,) = _joint_cov(layout, layout.blocks(), task_cov_matrix, lengthscales, mode)
+        K.reshape(-1)[:: len(K) + 1] += diag
+        return K.T
+    return _chol_in_place(build, ladder)

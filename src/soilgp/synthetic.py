@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset, Location, Observation, make_dataset
 from .gp import HyperParams, theta_from_moments
-from .kernels import KernelMode, _joint_cov, _Layout, chol_with_jitter
+from .kernels import KernelMode, _joint_chol, _Layout
 from .mapping import GroundTruth
 
 __all__ = [
@@ -27,10 +27,9 @@ __all__ = [
 ]
 
 
-# Largest joint draw, in (samples + truth points) × tasks: the draw holds
-# two such squares, the joint covariance and its Cholesky factor, and a
-# 3,600-point draw peaked at 289 MB resident, 78 MB of it the imports
-# (2 vCPU Xeon, OpenBLAS).
+# Largest joint draw, in (samples + truth points) × tasks: the draw holds one
+# such square, the joint covariance factored in place, and a 3,600-point
+# draw peaked at 191 MB resident, 78 MB of it the imports (2 vCPU Xeon).
 MAX_DRAW_POINTS = 3600
 
 
@@ -125,10 +124,9 @@ def draw_field(
     ``locations`` override the default uniform-random placement. The draw
     is dense, so more than ``MAX_DRAW_POINTS`` (samples + truth points) ×
     tasks is refused with ValueError before anything that size is built.
-    The joint covariance is assembled in row blocks of the kernel table,
-    as the dense objective assembles its spatial matrix
-    (:func:`kernels._joint_cov`), and factored with a jitter of at least
-    1e-10.
+    The joint covariance is assembled in row blocks of the kernel table
+    and factored in place with a jitter of at least 1e-10, as every fitted
+    model's is (:func:`kernels._joint_chol`): the draw holds one N×N array.
     """
     rng = np.random.default_rng(seed)
     if locations is None:
@@ -139,9 +137,7 @@ def draw_field(
             raise ValueError(
                 f"expected {cfg.n_samples} locations, got {len(locs)}"
             )
-    theta = prior_theta(cfg)
-    L_task, ls, _ = theta.unpack()
-    Kc = L_task @ L_task.T
+    L_task, ls, _ = prior_theta(cfg).unpack()
     n = cfg.n_tasks
     m = cfg.n_samples
 
@@ -163,11 +159,7 @@ def draw_field(
         )
 
     layout = _Layout(all_tasks, all_xy, n)
-    (K,) = _joint_cov(layout, layout.blocks(), Kc, ls, cfg.mode)
-    # K is bitwise symmetric, so its Fortran-ordered transpose view is K
-    # itself, and the factorization copies it with a plain memcpy
-    Lf, _ = chol_with_jitter(K.T, (1e-10, 1e-9, 1e-8))
-    del K
+    Lf, _ = _joint_chol(layout, L_task @ L_task.T, ls, cfg.mode, 0.0, (1e-10, 1e-9, 1e-8))
     latent = Lf @ rng.standard_normal(len(all_tasks))
 
     noise_std = np.sqrt(np.asarray(cfg.noise_vars))

@@ -5,6 +5,7 @@ plain loops, independent of the library's vectorized assembly paths.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ def reference_prediction(model, tasks, xy):
     v = solve_triangular(model.chol_factor, Ks.T, lower=True)
     var = Kc[tasks, tasks] - np.einsum("ij,ij->j", v, v)[:q]
     return mean, np.where(var < 0, 0.0, var)
+
+
+def traced_squares(fn, m):
+    """(fn(), peak, held): the peak of the memory traced during the call
+    and what stays allocated after it, beyond what was allocated before,
+    each in units of an m×m float64 array. numpy reports its buffers to
+    tracemalloc."""
+    square = m * m * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, (peak - before) / square, (held - before) / square
 
 
 def random_instance(seed, n_tasks=None, max_points=8, mode=None, noise_lo=1e-3):

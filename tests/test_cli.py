@@ -275,7 +275,7 @@ class TestOversizedCounts:
         def assembled(*args):
             raise AssertionError("covariance assembled for a refused draw")
 
-        monkeypatch.setattr(synthetic, "_joint_cov", assembled)
+        monkeypatch.setattr(synthetic, "_joint_chol", assembled)
         code, out, err = run(
             capsys, "synth", "--out", str(tmp_path / "o.csv"),
             "--truth-out", str(tmp_path / "t.csv"), "--truth-resolution", "1",

@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +17,7 @@ from conftest import (
     random_instance,
     random_theta,
     reference_prediction,
+    traced_squares,
 )
 from soilgp.data import Location, Observation, Rect, make_dataset, normalize
 from soilgp.gp import (
@@ -45,7 +45,6 @@ from soilgp.kernels import (
     matern32_dl,
 )
 from soilgp.mapping import GridSpec, predict_map, rmse
-from soilgp import synthetic
 from soilgp.synthetic import SyntheticField, draw_field, prior_theta
 
 
@@ -162,17 +161,27 @@ class TestObjectiveCovariance:
         ds = make_dataset(obs, n)
         theta = random_theta(rng, n, mode, 1e-3)
         floor = gp_module.NOISE_FLOOR
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+
+        def evaluate():
             prob = gp_module._Problem(ds)
             lml, state = prob.value(theta.values, mode, floor)
             prob.gradient(state, theta.values, mode, floor)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return lml
+
+        lml, peak, _ = traced_squares(evaluate, m)
         assert np.isfinite(lml)
-        assert peak - before < 9.5 * m * m * 8
+        assert peak < 9.5
+
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_memory_of_the_model_build(self, mode):
+        # 100 locations × 4 tasks: M = 400. The model's factor is the one
+        # M×M array the build holds; building it through the objective's
+        # value peaked at 6.3 M×M arrays.
+        ds, theta = homotopic_instance(1109, 4, mode=mode, n_locations=100)
+        model, peak, held = traced_squares(lambda: condition(ds, theta), len(ds))
+        assert np.isfinite(model.lml)
+        assert held < 1.25  # the factor
+        assert peak < 2.5
 
 
 def dense_reference(theta, ds, noise_floor=gp_module.NOISE_FLOOR):
@@ -266,6 +275,20 @@ class TestDenseObjectiveBitwise:
         assert np.array_equal(state[0], ref_Lf)
         assert np.array_equal(state[2], ref_alpha)
 
+    @pytest.mark.parametrize("name", [
+        "homotopic_4", "heterotopic", "one_task", "dense_icm", "in_band",
+        "ulp_convolved", "ulp_icm",
+    ])
+    def test_model_build_bitwise(self, name):
+        # the model factors its covariance without the objective, to the bit
+        ds, theta = self.case(name)
+        model = condition(ds, theta)
+        ref_lml, _, ref_Lf, ref_alpha = dense_reference(theta, model.dataset)
+        assert model.jitter == 0.0
+        assert model.lml == ref_lml
+        assert np.array_equal(model.chol_factor, ref_Lf)
+        assert np.array_equal(model.alpha, ref_alpha)
+
     def test_states_do_not_share_memory(self):
         ds, theta1 = self.case("heterotopic")
         theta2 = HyperParams(theta1.values + 0.2, theta1.n_tasks, theta1.mode)
@@ -282,19 +305,11 @@ class TestDenseObjectiveBitwise:
         assert np.array_equal(state1[0], kept[0])
         assert np.array_equal(state1[2], kept[1])
 
-    def test_model_unchanged_by_later_evaluations(self, monkeypatch):
+    def test_model_unchanged_by_later_evaluations(self):
         ds, theta = self.case("heterotopic")
-        problems = []
-
-        class Recorded(gp_module._Problem):
-            def __init__(self, dataset):
-                super().__init__(dataset)
-                problems.append(self)
-
-        monkeypatch.setattr(gp_module, "_Problem", Recorded)
         model = condition(ds, theta)
         kept = model.chol_factor.copy(), model.alpha.copy()
-        (prob,) = problems
+        prob = gp_module._Problem(model.dataset)
         other = HyperParams(theta.values - 0.3, theta.n_tasks, theta.mode)
         for th in (other, theta, other):
             self.evaluate(prob, th)
@@ -452,6 +467,8 @@ class TestKroneckerPath:
         v[3] = gp_module._THETA_CAP + 1.0  # log length-scale
         prob = gp_module._objective(ds, KernelMode.ICM)
         assert prob.value(v, KernelMode.ICM, gp_module.NOISE_FLOOR)[0] == gp_module.REJECTED
+        with pytest.raises(gp_module.NumericFailure):
+            condition(ds, HyperParams(v, 2, KernelMode.ICM))
 
     def drop_one(self, ds):
         return make_dataset(ds.observations[1:], ds.n_tasks, ds.labels)
@@ -471,7 +488,7 @@ class TestKroneckerPath:
         assert calls == [(len(ds), len(ds))]
         assert lml == pytest.approx(dense_lml_oracle(theta, ds), abs=1e-8)
 
-    def test_fit_builds_one_dense_problem(self, monkeypatch):
+    def test_fit_builds_no_dense_problem(self, monkeypatch):
         ds, _ = homotopic_instance(900, 3, shuffled=True)
         built = []
 
@@ -482,7 +499,7 @@ class TestKroneckerPath:
 
         monkeypatch.setattr(gp_module, "_Problem", Counted)
         model = fit(ds, FitConfig(restarts=2, seed=3, max_iters=40, mode=KernelMode.ICM))
-        assert built == [len(ds)]  # the model's own factorization, nothing else
+        assert built == []  # the model factors its covariance without one
         assert model.lml == pytest.approx(
             log_marginal_likelihood(model.theta, model.dataset), abs=1e-8)
 
@@ -929,16 +946,20 @@ class TestSamplePrior:
         if budget is not None:
             monkeypatch.setattr(kernels, "_BLOCK_BYTES", budget)
         factored, tables = [], []
+        factor = kernels._chol_in_place
 
-        def chol_spy(K, *args):
-            factored.append(K.copy())
-            return chol_with_jitter(K, *args)
+        def chol_spy(build, ladder):
+            def build_spy():  # each matrix the draw factors, as it is built
+                K = build()
+                factored.append(K.copy())
+                return K
+            return factor(build_spy, ladder)
 
         def table_spy(*args):
             tables.append(args[0].shape)
             return cross_cov_table(*args)
 
-        monkeypatch.setattr(synthetic, "chol_with_jitter", chol_spy)
+        monkeypatch.setattr(kernels, "_chol_in_place", chol_spy)
         monkeypatch.setattr(kernels, "cross_cov_table", table_spy)
         ds, truth = draw_field(cfg, 21, truth_xy=truth_xy, observed=observed,
                                locations=locs)
@@ -960,20 +981,15 @@ class TestSamplePrior:
     def test_memory_holds_covariance_and_factor_only(self):
         # 20 samples + 180 truth points, 4 tasks: N = 800. The dense
         # assembly and the jittered factorization kept about eight N×N
-        # arrays alive; the draw needs two, the covariance and its factor.
+        # arrays alive, and a factor copied from the covariance two; the
+        # draw needs one, the covariance factored in its own memory.
         cfg = SyntheticField(n_samples=20, width=100.0, height=80.0)
         gx, gy = np.meshgrid(np.arange(18) * 5.0 + 2.0, np.arange(10) * 7.0 + 4.0)
         truth_xy = np.column_stack([gx.ravel(), gy.ravel()])
-        square = (4 * (20 + len(truth_xy))) ** 2 * 8
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = draw_field(cfg, 5, truth_xy=truth_xy)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held - before < 0.05 * square  # the outputs are small
-        assert peak - held < 2.5 * square
+        out, peak, held = traced_squares(lambda: draw_field(cfg, 5, truth_xy=truth_xy),
+                                         4 * (20 + len(truth_xy)))
+        assert held < 0.05  # the outputs are small
+        assert peak - held < 1.5
         assert out[1].values.shape == (4, 180)
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from conftest import ULP_LENGTHSCALE, assemble_cross_cov, naive_cov
 from soilgp import kernels
 from soilgp.kernels import (
     KernelMode,
+    JITTER_LADDER,
     NumericFailure,
+    _joint_chol,
     _joint_cov,
     _Layout,
     assemble_training_cov,
@@ -475,3 +479,36 @@ class TestCholWithJitter:
         assert jitter == 1e-9
         assert np.array_equal(L, cholesky(K + 1e-9 * np.eye(len(K)), lower=True))
         assert np.array_equal(K, before)
+
+    @staticmethod
+    def one_location(tasks):
+        """A layout whose rows all lie at one point: its joint covariance
+        is the task covariance gathered by the rows' tasks."""
+        tasks = np.asarray(tasks, dtype=np.intp)
+        return _Layout(tasks, np.zeros((len(tasks), 2)), int(tasks.max()) + 1)
+
+    def test_joint_factor_after_a_failed_rung(self, monkeypatch):
+        # The all-ones K fails without jitter. Its factorization overwrote
+        # it, so the 1e-9 rung builds K again, after the failed rung's
+        # array is gone: one M×M array is held at a time.
+        built = []
+
+        def spy(*args, **kwargs):
+            assert all(ref() is None for ref in built)
+            outs = _joint_cov(*args, **kwargs)
+            built.append(weakref.ref(outs[0]))
+            return outs
+
+        monkeypatch.setattr(kernels, "_joint_cov", spy)
+        L, jitter = _joint_chol(self.one_location([0] * 5), np.ones((1, 1)), [10.0],
+                                KernelMode.ICM, 0.0, (0.0, 1e-9))
+        assert jitter == 1e-9
+        assert len(built) == 2
+        assert np.array_equal(L, cholesky(np.ones((5, 5)) + 1e-9 * np.eye(5), lower=True))
+
+    @pytest.mark.parametrize("kc", [[[1.0, 2.0], [2.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]],
+                             ids=["indefinite", "non_finite"])
+    def test_joint_factor_refuses(self, kc):
+        with pytest.raises(NumericFailure):
+            _joint_chol(self.one_location([0, 1]), np.array(kc), [10.0], KernelMode.ICM,
+                        0.0, JITTER_LADDER)
