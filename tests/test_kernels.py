@@ -11,8 +11,8 @@ from scipy.spatial.distance import cdist
 from conftest import ULP_LENGTHSCALE, assemble_cross_cov, naive_cov
 from soilgp import kernels
 from soilgp.kernels import (
-    KernelMode,
     JITTER_LADDER,
+    KernelMode,
     NumericFailure,
     _joint_chol,
     _joint_cov,
