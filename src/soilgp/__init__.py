@@ -14,7 +14,6 @@ from .gp import (
     FitConfig,
     FittedModel,
     HyperParams,
-    PredictionResult,
     condition,
     fit,
     fit_stgp,

@@ -176,9 +176,9 @@ def _cmd_fit(args):
 def _cmd_predict(args):
     _, dataset, model = _load_model_with_data(args)
     tasks, xy = parse_queries(args.queries, dataset.labels)
-    res = predict_arrays(model, tasks, xy, denormalize=args.denormalize,
-                         include_noise=args.include_noise)
-    write_predictions(args.out, dataset.labels, res)
+    mean, var = predict_arrays(model, tasks, xy, denormalize=args.denormalize,
+                               include_noise=args.include_noise)
+    write_predictions(args.out, dataset.labels, tasks, xy, mean, var)
     return EXIT_OK
 
 
@@ -286,7 +286,6 @@ def _cmd_synth(args):
         correlations.append((labels.index(a), labels.index(b), float(rv)))
 
     cfg = SyntheticField(
-        n_tasks=n,
         labels=labels,
         variances=variances,
         correlations=tuple(correlations),

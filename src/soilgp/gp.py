@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 # cho_solve is no longer called here (the objective calls LAPACK's potrs
@@ -46,7 +45,6 @@ __all__ = [
     "HyperParams",
     "FitConfig",
     "FittedModel",
-    "PredictionResult",
     "log_marginal_likelihood",
     "lml_gradient",
     "fit",
@@ -112,9 +110,14 @@ class FitConfig:
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
         for name in ("tol", "noise_floor"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            _positive_finite(name, getattr(self, name))
+
+
+def _positive_finite(name: str, v):
+    """``v``, or ValueError naming ``name`` unless it is positive and finite."""
+    if not (np.isfinite(v) and v > 0):
+        raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,7 @@ class FittedModel:
     theta: HyperParams
     dataset: Dataset  # values in normalized units
     stats: NormStats
+    layout: _Layout  # the training rows' slots, which prediction gathers through
     chol_factor: np.ndarray  # lower Cholesky of K + Σ (+ jitter)
     alpha: np.ndarray  # (K + Σ)⁻¹ y
     lml: float
@@ -142,20 +146,6 @@ class FittedModel:
     @property
     def mode(self) -> KernelMode:
         return self.theta.mode
-
-    @cached_property
-    def _layout(self) -> _Layout:
-        """The training rows' slots, which prediction gathers through."""
-        return _Layout(self.dataset.task_index, self.dataset.xy, self.n_tasks)
-
-
-@dataclass(frozen=True)
-class PredictionResult:
-    tasks: np.ndarray
-    xy: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
-    normalized: bool
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +519,8 @@ def _build_model(norm_ds, stats, theta, noise_floor, restart_lmls) -> FittedMode
     _check_theta(theta.values)
     L, ls, noise = theta.unpack(noise_floor)
     t = norm_ds.task_index
-    Lf, jitter = _joint_chol(_Layout(t, norm_ds.xy, theta.n_tasks), L @ L.T, ls, theta.mode,
-                             noise[t], JITTER_LADDER)
+    layout = _Layout(t, norm_ds.xy, theta.n_tasks)
+    Lf, jitter = _joint_chol(layout, L @ L.T, ls, theta.mode, noise[t], JITTER_LADDER)
     alpha, lml = _solve(Lf, norm_ds.values)
     Lf.flags.writeable = False
     alpha.flags.writeable = False
@@ -538,6 +528,7 @@ def _build_model(norm_ds, stats, theta, noise_floor, restart_lmls) -> FittedMode
         theta=theta,
         dataset=norm_ds,
         stats=stats,
+        layout=layout,
         chol_factor=Lf,
         alpha=alpha,
         lml=lml,
@@ -558,18 +549,12 @@ def predict_arrays(
     q_xy: np.ndarray,
     denormalize: bool = False,
     include_noise: bool = False,
-) -> PredictionResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at (task, location) rows, one row per
-    entry of ``q_tasks`` with its point in ``q_xy`` (Q×2). The rows of
-    each task go through the prediction core together, so a row pays
-    for its own task only.
-
-    Variance is the latent-function uncertainty; ``include_noise`` adds
-    the per-task observation noise for held-out-value intervals.
-    Negative variances produced by floating-point cancellation are
-    clamped at zero (the clamp magnitude is logged).
+    entry of ``q_tasks`` with its point in ``q_xy`` (Q×2), as two arrays
+    of Q. The rows of each task go through :func:`predict_tasks`
+    together, so a row pays for its own task only.
     """
-    n = model.n_tasks
     q_tasks = np.asarray(q_tasks, dtype=np.intp)
     q_xy = np.asarray(q_xy, dtype=float)
     if q_tasks.ndim != 1 or q_xy.shape != (q_tasks.size, 2):
@@ -577,42 +562,12 @@ def predict_arrays(
             f"queries need one (x, y) per task id: {q_tasks.shape} task ids, "
             f"points of shape {q_xy.shape}"
         )
-    if q_tasks.size and (q_tasks.min() < 0 or q_tasks.max() >= n):
-        raise ValueError(f"unknown task id in queries (model has {n} tasks)")
-
-    mean = np.empty(q_tasks.size)
-    var = np.empty(q_tasks.size)
-    clamp = _Clamp()
+    mean, var = np.empty((2, q_tasks.size))
     for i in np.unique(q_tasks):
         rows = np.flatnonzero(q_tasks == i)
-        m, v = _predict_blocks(
-            model, (i,), q_xy[rows], denormalize, include_noise, clamp
-        )
+        m, v = predict_tasks(model, (i,), q_xy[rows], denormalize, include_noise)
         mean[rows], var[rows] = m[0], v[0]
-    clamp.log()
-    return PredictionResult(q_tasks, q_xy, mean, var, normalized=not denormalize)
-
-
-def predict_tasks(
-    model: FittedModel,
-    tasks,
-    xy: np.ndarray,
-    denormalize: bool = False,
-    include_noise: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance of every task in ``tasks`` at every
-    point of ``xy`` (P×2), as two len(tasks)×P arrays (used for grids)."""
-    n = model.n_tasks
-    tasks = tuple(int(i) for i in tasks)
-    if any(i < 0 or i >= n for i in tasks):
-        raise ValueError(f"unknown task id in queries (model has {n} tasks)")
-    xy = np.asarray(xy, dtype=float)
-    if xy.ndim != 2 or xy.shape[1] != 2:
-        raise ValueError(f"points must be (P, 2), got {xy.shape}")
-    clamp = _Clamp()
-    out = _predict_blocks(model, tasks, xy, denormalize, include_noise, clamp)
-    clamp.log()
-    return out
+    return mean, var
 
 
 # Byte budget for one prediction block's temporaries: the kernel tables,
@@ -632,32 +587,21 @@ def _aligned(rows):
     return -(-rows // _ROW_ALIGN) * _ROW_ALIGN
 
 
-class _Clamp:
-    """Count of negative predictive variances clamped at zero, and the
-    largest clamped magnitude, over the blocks of one call."""
+def predict_tasks(
+    model: FittedModel,
+    tasks,
+    xy: np.ndarray,
+    denormalize: bool = False,
+    include_noise: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The prediction core: posterior mean and variance of every task in
+    ``tasks`` at every point of ``xy`` (P×2), as two len(tasks)×P arrays.
 
-    def __init__(self):
-        self.count, self.worst = 0, 0.0
-
-    def add(self, var):
-        neg = var < 0
-        if np.any(neg):
-            self.count += int(neg.sum())
-            self.worst = max(self.worst, float(-var[neg].min()))
-            var[neg] = 0.0
-
-    def log(self):
-        if self.count:
-            logger.debug(
-                "clamped %d negative predictive variances (max magnitude %.3e)",
-                self.count,
-                self.worst,
-            )
-
-
-def _predict_blocks(model, tasks, xy, denormalize, include_noise, clamp):
-    """The prediction core: mean and variance of each task in ``tasks``
-    at each point of ``xy``, two len(tasks)×P arrays.
+    Variance is the latent-function uncertainty; ``include_noise`` adds
+    the per-task observation noise for held-out-value intervals.
+    Negative variances produced by floating-point cancellation are
+    clamped at zero; a call that clamps logs their count and largest
+    magnitude once, at DEBUG.
 
     Points are taken in blocks sized by ``_BLOCK_BYTES``. Per block, the
     distances go to the training set's distinct locations once,
@@ -667,10 +611,20 @@ def _predict_blocks(model, tasks, xy, denormalize, include_noise, clamp):
     One gemv gives the means K* α and one triangular solve v = L⁻¹K*ᵀ the
     variances Kc_ii − vᵀv.
     """
+    n = model.n_tasks
+    rows = np.array([int(i) for i in tasks], dtype=np.intp)
+    if np.any((rows < 0) | (rows >= n)):
+        raise ValueError(f"unknown task id in queries (model has {n} tasks)")
+    xy = np.asarray(xy, dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"points must be (P, 2), got {xy.shape}")
+    layout = model.layout
+    u, m, k, p = layout.u, len(layout.tasks), len(rows), len(xy)
+    mean, var = np.empty((2, k, p))
+    if not k:
+        return mean, var
     L_task, ls, noise = model.theta.unpack(model.noise_floor)
     Kc = L_task @ L_task.T
-    layout = model._layout
-    n, u, m, k, p = model.n_tasks, layout.u, len(layout.tasks), len(tasks), len(xy)
     # per point: k rows of the table (n·U) and of K* (M), a row of the
     # gather index (M) and, transient, the distances and the table's
     # per-task arrays over them
@@ -680,12 +634,10 @@ def _predict_blocks(model, tasks, xy, denormalize, include_noise, clamp):
     index = layout.index(0, np.arange(block)[:, None], block)
     Ks = np.zeros((_aligned(k * block), m))
 
-    rows = list(tasks)
     prior = Kc[rows, rows][:, None]
     noise = noise[rows][:, None]
     stds, means = model.stats.stds[rows][:, None], model.stats.means[rows][:, None]
-    mean = np.empty((k, p))
-    var = np.empty((k, p))
+    clamped, worst = 0, 0.0
     for s in range(0, p, block):
         e = min(s + block, p)
         b = e - s
@@ -702,7 +654,11 @@ def _predict_blocks(model, tasks, xy, denormalize, include_noise, clamp):
             check_finite=False,
         )
         vv = prior - np.einsum("ij,ij->j", v, v)[: k * b].reshape(k, b)
-        clamp.add(vv)
+        neg = vv < 0
+        if np.any(neg):
+            clamped += int(neg.sum())
+            worst = max(worst, float(-vv[neg].min()))
+            vv[neg] = 0.0
         if include_noise:
             vv = vv + noise
         if denormalize:
@@ -710,6 +666,9 @@ def _predict_blocks(model, tasks, xy, denormalize, include_noise, clamp):
             vv = vv * stds**2
         mean[:, s:e] = mu
         var[:, s:e] = vv
+    if clamped:
+        logger.debug("clamped %d negative predictive variances (max magnitude %.3e)",
+                     clamped, worst)
     return mean, var
 
 

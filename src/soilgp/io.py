@@ -21,7 +21,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .data import Dataset, Location, Observation, make_dataset
-from .gp import FitConfig, FittedModel, HyperParams, condition
+from .gp import FitConfig, FittedModel, HyperParams, _positive_finite, condition
 from .kernels import KernelMode
 from .mapping import GroundTruth, GridSpec, PropertyMap, RmseCurves, CorrelationTrajectory
 from .mission import FieldBoundary
@@ -295,7 +295,8 @@ def read_model(path) -> ModelRecord:
         theta=field("theta", lambda raw: HyperParams(floats(raw), n_tasks, mode)),
         norm_means=field("norm_means", floats),
         norm_stds=field("norm_stds", floats),
-        noise_floor=field("noise_floor", float),
+        # fit writes only a floor that FitConfig accepts
+        noise_floor=field("noise_floor", lambda v: _positive_finite("noise_floor", float(v))),
         data_digest=field("data_digest"),
         lml=field("lml", float),
     )
@@ -419,9 +420,9 @@ def write_maps(out_dir, prefix: str, maps: list[PropertyMap]):
     _write_lines(out_dir / f"{prefix}.csv", MAP_HEADER, _map_lines(maps, write_grids))
 
 
-def write_predictions(path, labels, result):
-    rows = zip(result.tasks.tolist(), result.xy.tolist(), result.mean.tolist(),
-               result.variance.tolist())
+def write_predictions(path, labels, tasks, xy, mean, variance):
+    """One CSV row per query: its task label, point, mean and variance."""
+    rows = zip(tasks.tolist(), xy.tolist(), mean.tolist(), variance.tolist())
     _write_lines(path, MAP_HEADER, (
         f"{labels[t]},{x!r},{y!r},{m!r},{v!r}" for t, (x, y), m, v in rows
     ))

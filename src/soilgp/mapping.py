@@ -190,15 +190,6 @@ def _truth_scales(truth: GroundTruth) -> np.ndarray:
     return np.where(s > 0, s, 1.0)
 
 
-def _predict_all_tasks(models, n_tasks, xy) -> np.ndarray:
-    """(n_tasks, G) raw-unit predictions from one MTGP or a list of STGPs."""
-    if isinstance(models, list):  # one single-task model per task
-        return np.vstack(
-            [predict_tasks(m, (0,), xy, denormalize=True)[0] for m in models]
-        )
-    return predict_tasks(models, range(n_tasks), xy, denormalize=True)[0]
-
-
 def sequential_eval(
     data: Dataset,
     truth: GroundTruth,
@@ -225,8 +216,12 @@ def sequential_eval(
     values = np.empty((n_samples, data.n_tasks))
     for idx, k in enumerate(ks):
         sub = prefix(data, k)
-        models = fit(sub, config) if method == "mtgp" else fit_stgp(sub, config)
-        pred = _predict_all_tasks(models, data.n_tasks, truth.xy)
+        if method == "mtgp":
+            pred = predict_tasks(fit(sub, config), range(data.n_tasks), truth.xy,
+                                 denormalize=True)[0]
+        else:  # one single-task model per task
+            pred = [predict_tasks(m, (0,), truth.xy, denormalize=True)[0][0]
+                    for m in fit_stgp(sub, config)]
         for i in range(data.n_tasks):
             values[idx, i] = rmse(pred[i] / scales[i], truth.values[i] / scales[i])
     return RmseCurves(method, ks, values)

@@ -50,8 +50,14 @@ class DrillSpec:
 
 
 def sample_mass(spec: DrillSpec) -> float:
-    """Extracted soil mass in grams for one full-depth core."""
-    return spec.bulk_density * math.pi * spec.depth * (spec.diameter / 2.0) ** 2
+    """Extracted soil mass in grams for one full-depth core; ValueError if it overflows."""
+    try:
+        mass = spec.bulk_density * math.pi * spec.depth * (spec.diameter / 2.0) ** 2
+        if math.isfinite(mass):
+            return mass
+    except OverflowError:  # the diameter's square
+        pass
+    raise ValueError(f"sample mass of {spec} is not finite")
 
 
 def auger_diameter(target_mass: float, bulk_density: float, depth: float) -> float:
@@ -59,6 +65,8 @@ def auger_diameter(target_mass: float, bulk_density: float, depth: float) -> flo
 
     Exact inverse of :func:`sample_mass`: d = 2·√(m / (ρ·π·L)).
     """
+    if not all(map(math.isfinite, (target_mass, bulk_density, depth))):
+        raise ValueError("target mass, bulk density and depth must be finite")
     if target_mass < 0:
         raise ValueError("target mass must be non-negative")
     if bulk_density <= 0 or depth <= 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, Location, Observation, make_dataset
-from .gp import HyperParams, theta_from_moments
+from .gp import HyperParams, _positive_finite, theta_from_moments
 from .kernels import KernelMode, _joint_chol, _Layout
 from .mapping import GroundTruth
 
@@ -37,7 +37,6 @@ MAX_DRAW_POINTS = 3600
 class SyntheticField:
     """Generator settings for one synthetic campaign."""
 
-    n_tasks: int = 4
     labels: tuple[str, ...] = ("pH", "N", "P", "K")
     variances: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     # (i, j, r) entries; unlisted pairs are uncorrelated
@@ -49,19 +48,19 @@ class SyntheticField:
     n_samples: int = 30
     mode: KernelMode = field(default=KernelMode.CONVOLVED)
 
+    @property
+    def n_tasks(self) -> int:
+        return len(self.labels)
+
     def __post_init__(self):
         n = self.n_tasks
-        if not (
-            len(self.labels) == len(self.variances) == len(self.noise_vars) == n
-        ):
-            raise ValueError("per-task settings must all have n_tasks entries")
+        if not len(self.variances) == len(self.noise_vars) == n:
+            raise ValueError("per-task settings must all have one entry per label")
         n_ls = self.mode.n_lengthscales(n)
         if len(self.lengthscales) != n_ls:
             raise ValueError(f"expected {n_ls} length-scale(s)")
         for name in ("width", "height"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            _positive_finite(name, getattr(self, name))
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
 

@@ -16,6 +16,7 @@ in 80% of trials, plus a mean over the trials within three standard
 errors of zero to catch systematic leakage the wider band would miss.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -300,12 +301,12 @@ def test_criterion_7_mtgp_beats_stgp():
         m_mt = fit(ds, cfg)
         m_st = fit_stgp(ds, cfg)
         g = truth_grid.shape[0]
-        p_mt = predict_arrays(
+        p_mt, _ = predict_arrays(
             m_mt, np.full(g, 1, dtype=np.intp), truth_grid, denormalize=True
-        ).mean
-        p_st = predict_arrays(
+        )
+        p_st, _ = predict_arrays(
             m_st[1], np.zeros(g, dtype=np.intp), truth_grid, denormalize=True
-        ).mean
+        )
         r_mt = rmse(p_mt, truth.values[1])
         r_st = rmse(p_st, truth.values[1])
         mtgp_scores.append(r_mt)
@@ -323,7 +324,7 @@ def test_criterion_7_mtgp_beats_stgp():
 
 def test_criterion_8_interpolation_and_reversion():
     cfg = SyntheticField(
-        n_tasks=2, labels=("a", "b"), variances=(1.0, 1.0),
+        labels=("a", "b"), variances=(1.0, 1.0),
         correlations=((0, 1, 0.7),), lengthscales=(20.0, 35.0),
         noise_vars=(0.05, 0.05), width=100.0, height=80.0, n_samples=12,
     )
@@ -333,16 +334,18 @@ def test_criterion_8_interpolation_and_reversion():
         [1e-10, 1e-10], KernelMode.CONVOLVED,
     )
     model = condition(ds, theta)
-    at_train = predict_arrays(model, model.dataset.task_index, model.dataset.xy)
-    interp_err = float(np.abs(at_train.mean - model.dataset.values).max())
-    interp_var = float(at_train.variance.max())
+    train_mean, train_var = predict_arrays(
+        model, model.dataset.task_index, model.dataset.xy
+    )
+    interp_err = float(np.abs(train_mean - model.dataset.values).max())
+    interp_var = float(train_var.max())
 
-    far = predict_arrays(
+    mean, var = predict_arrays(
         model, [0, 1], [(100 * 35.0 + 1000.0, 0.0), (0.0, 100 * 35.0 + 1000.0)]
     )
     Kc = model.theta.task_cov()
-    far_mean = float(np.abs(far.mean).max())
-    far_var_err = float(np.abs(far.variance - Kc[[0, 1], [0, 1]]).max())
+    far_mean = float(np.abs(mean).max())
+    far_var_err = float(np.abs(var - Kc[[0, 1], [0, 1]]).max())
 
     ok = interp_err <= 1e-5 and interp_var <= 1e-4 and far_mean <= 1e-6 and far_var_err <= 1e-6
     report(8, ok, f"train-point |Δmean|={interp_err:.1e}, var<={interp_var:.1e}; "
@@ -436,9 +439,12 @@ def test_criterion_11_cli_pipeline(tmp_path):
         len(mean_files) == 4 and len(var_files) == 4 and cells_ok
         and blob_a == blob_b and elapsed < 120.0
     )
+    model_bytes = (tmp_path / "a" / "model.txt").read_bytes()
     report(11, ok, f"{len(mean_files)} mean + {len(var_files)} variance grids, "
                    f"2040 cells each: {cells_ok}; byte-identical reruns: "
-                   f"{blob_a == blob_b}; {elapsed:.0f}s")
+                   f"{blob_a == blob_b}; {elapsed:.0f}s; sha256 "
+                   f"{hashlib.sha256(blob_a).hexdigest()[:12]}, model "
+                   f"{hashlib.sha256(model_bytes).hexdigest()[:12]}")
     assert len(mean_files) == 4 and len(var_files) == 4
     assert cells_ok
     assert blob_a == blob_b

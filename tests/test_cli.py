@@ -34,6 +34,15 @@ class TestMass:
         assert code == EXIT_DATA
         assert "bulk density" in err
 
+    @pytest.mark.parametrize("rho, diameter", [("1e-3", "1e200"), ("1e308", "100")])
+    def test_mass_beyond_float_range_is_data_error(self, capsys, rho, diameter):
+        code, out, err = run(
+            capsys, "mass", "--rho", rho, "--depth", "200", "--diameter", diameter
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "sample mass" in err and "not finite" in err
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -227,6 +236,21 @@ class TestModelFileFields:
         assert code == EXIT_DATA
         assert f"model file field {key}:" in err
         assert not (tmp_path / "maps").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("command", ["map", "predict"])
+    def test_noise_floor_fit_cannot_write(self, capsys, tmp_path, fitted, command, value):
+        obs, model = fitted
+        bad = with_field(model, tmp_path, "noise_floor", lambda v: [value])
+        queries = tmp_path / "q.csv"
+        queries.write_text("task,x_m,y_m\npH,1.0,2.0\n")
+        out = {"map": ["--out-dir", str(tmp_path / "maps")],
+               "predict": ["--queries", str(queries), "--out", str(tmp_path / "p.csv")]}
+        code, _, err = run(capsys, command, "--model", str(bad), "--obs", str(obs),
+                           *out[command])
+        assert code == EXIT_DATA
+        assert "model file field noise_floor: noise_floor must be positive and finite" in err
+        assert not (tmp_path / "maps").exists() and not (tmp_path / "p.csv").exists()
 
     def test_lml_within_rounding_accepted(self, capsys, tmp_path, fitted):
         obs, model = fitted

@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from soilgp.gp import (
     log_marginal_likelihood,
     lml_gradient,
     predict_arrays,
+    predict_tasks,
     task_correlations,
     theta_from_moments,
 )
@@ -585,7 +587,7 @@ class TestFit:
 class TestPredict:
     def model_on_prior_draw(self, noise=1e-10, seed=23):
         cfgs = SyntheticField(
-            n_tasks=2, labels=("a", "b"), variances=(1.0, 1.0),
+            labels=("a", "b"), variances=(1.0, 1.0),
             correlations=((0, 1, 0.7),), lengthscales=(20.0, 35.0),
             noise_vars=(0.05, 0.05), width=100.0, height=80.0, n_samples=10,
         )
@@ -598,29 +600,29 @@ class TestPredict:
 
     def test_interpolates_training_points_at_tiny_noise(self):
         model, _ = self.model_on_prior_draw()
-        res = predict_arrays(model, model.dataset.task_index, model.dataset.xy)
-        np.testing.assert_allclose(res.mean, model.dataset.values, atol=1e-5)
-        assert np.all(res.variance <= 1e-4)
+        mean, var = predict_arrays(model, model.dataset.task_index, model.dataset.xy)
+        np.testing.assert_allclose(mean, model.dataset.values, atol=1e-5)
+        assert np.all(var <= 1e-4)
 
     def test_far_field_reverts_to_prior(self):
         model, _ = self.model_on_prior_draw()
-        res = predict_arrays(model, [0], [(100 * 35.0 + 500.0, 0.0)])
-        assert abs(res.mean[0]) <= 1e-6
+        mean, var = predict_arrays(model, [0], [(100 * 35.0 + 500.0, 0.0)])
+        assert abs(mean[0]) <= 1e-6
         Kc = model.theta.task_cov()
-        assert res.variance[0] == pytest.approx(Kc[0, 0], abs=1e-6)
+        assert var[0] == pytest.approx(Kc[0, 0], abs=1e-6)
 
     def test_batch_order_preserving(self):
         model, _ = self.model_on_prior_draw()
         rng = np.random.default_rng(2)
         tasks = rng.integers(0, 2, 15)
         xy = rng.uniform(0, 100, (15, 2))
-        res = predict_arrays(model, tasks, xy)
+        mean, var = predict_arrays(model, tasks, xy)
         perm = rng.permutation(15)
-        res_p = predict_arrays(model, tasks[perm], xy[perm])
+        mean_p, var_p = predict_arrays(model, tasks[perm], xy[perm])
         # order-preserving: each query's result rides with the query,
         # bitwise, whatever block and position it lands in
-        np.testing.assert_array_equal(res_p.mean, res.mean[perm])
-        np.testing.assert_array_equal(res_p.variance, res.variance[perm])
+        np.testing.assert_array_equal(mean_p, mean[perm])
+        np.testing.assert_array_equal(var_p, var[perm])
 
     def test_unknown_task_rejected(self):
         model, _ = self.model_on_prior_draw()
@@ -646,20 +648,64 @@ class TestPredict:
     def test_include_noise_adds_task_variance(self):
         model, _ = self.model_on_prior_draw(noise=0.04)
         q = ([1], [(12.0, 13.0)])
-        plain = predict_arrays(model, *q)
-        noisy = predict_arrays(model, *q, include_noise=True)
-        assert noisy.variance[0] == pytest.approx(plain.variance[0] + 0.04)
+        _, plain = predict_arrays(model, *q)
+        _, noisy = predict_arrays(model, *q, include_noise=True)
+        assert noisy[0] == pytest.approx(plain[0] + 0.04)
 
     def test_denormalize_rescales(self):
         model, ds = self.model_on_prior_draw(noise=0.01)
         tasks, xy = [0, 1], [(5.0, 5.0), (50.0, 40.0)]
-        normed = predict_arrays(model, tasks, xy)
-        raw = predict_arrays(model, tasks, xy, denormalize=True)
+        normed_mean, normed_var = predict_arrays(model, tasks, xy)
+        raw_mean, raw_var = predict_arrays(model, tasks, xy, denormalize=True)
         stds, means = model.stats.stds, model.stats.means
         for i, t in enumerate(tasks):
-            assert raw.mean[i] == pytest.approx(normed.mean[i] * stds[t] + means[t])
-            assert raw.variance[i] == pytest.approx(normed.variance[i] * stds[t] ** 2)
-        assert normed.normalized and not raw.normalized
+            assert raw_mean[i] == pytest.approx(normed_mean[i] * stds[t] + means[t])
+            assert raw_var[i] == pytest.approx(normed_var[i] * stds[t] ** 2)
+
+    def test_no_tasks_gives_empty_rows(self):
+        model, _ = self.model_on_prior_draw()
+        xy = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        mean, var = predict_tasks(model, (), xy)
+        assert mean.shape == var.shape == (0, 3)
+
+    def test_model_builds_one_layout(self, monkeypatch):
+        first, ds = self.model_on_prior_draw()
+        built = []
+
+        class CountingLayout(kernels._Layout):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(gp_module, "_Layout", CountingLayout)
+        model = condition(ds, first.theta)
+        predict_tasks(model, (0, 1), [(1.0, 2.0)])
+        predict_arrays(model, [1, 0], [(3.0, 4.0), (5.0, 6.0)])
+        assert built == [model.layout]
+
+    def test_clamp_logged_once_per_call(self, monkeypatch, caplog):
+        model, _ = self.model_on_prior_draw()
+        solves = []
+
+        def inflated(*args, **kwargs):
+            # v = 1.01 L⁻¹K*ᵀ: at a training point vᵀv then exceeds the prior
+            v = 1.01 * solve_triangular(*args, **kwargs)
+            solves.append(v)
+            return v
+
+        monkeypatch.setattr(gp_module, "solve_triangular", inflated)
+        xy = model.dataset.xy[model.dataset.task_index == 0]
+        with caplog.at_level(logging.DEBUG, logger="soilgp.gp"):
+            for _ in range(2):
+                _, var = predict_tasks(model, (0,), xy)
+            predict_tasks(model, (0,), [(1e5, 0.0)])  # far away: nothing to clamp
+        prior = model.theta.task_cov()[0, 0]
+        raw = (prior - np.einsum("ij,ij->j", solves[0], solves[0]))[: len(xy)]
+        neg = raw < 0
+        assert neg.any() and np.all(var[0][neg] == 0.0)
+        line = (f"clamped {neg.sum()} negative predictive variances "
+                f"(max magnitude {-raw.min():.3e})")
+        assert caplog.messages == [line, line]
 
     def test_variance_cancellation_stays_tiny(self):
         # raw (un-clamped) predictive variance may only go negative by
@@ -676,8 +722,8 @@ class TestPredict:
         v = solve_triangular(model.chol_factor, Ks.T, lower=True)
         raw_var = Kc[tasks, tasks] - np.einsum("ij,ij->j", v, v)
         assert raw_var.min() >= -1e-8
-        res = predict_arrays(model, tasks, xy)
-        assert np.all(res.variance >= 0)
+        _, var = predict_arrays(model, tasks, xy)
+        assert np.all(var >= 0)
 
 
 def partly_shared_model(mode):
@@ -766,10 +812,10 @@ class TestPredictionCore:
         tasks = rng.integers(0, model.n_tasks, 203)
         xy = rng.uniform(-10, 70, (203, 2))
         xy[:9] = model.dataset.xy[:9]  # training locations too
-        res = predict_arrays(model, tasks, xy)
+        got_mean, got_var = predict_arrays(model, tasks, xy)
         mean, var = reference_prediction(model, tasks, xy)
-        np.testing.assert_array_equal(res.mean, mean)
-        np.testing.assert_array_equal(res.variance, var)
+        np.testing.assert_array_equal(got_mean, mean)
+        np.testing.assert_array_equal(got_var, var)
 
 
 class TestTaskCorrelations:
@@ -821,14 +867,14 @@ class TestFitStgp:
         xy = rng.uniform(0, 100, (20, 2))
         a = predict_arrays(full[0], np.zeros(20, dtype=np.intp), xy)
         b = predict_arrays(alone, np.zeros(20, dtype=np.intp), xy)
-        np.testing.assert_array_equal(a.mean, b.mean)
-        np.testing.assert_array_equal(a.variance, b.variance)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_matches_mtgp_on_independent_tasks(self):
         # with a truly independent prior the paired RMSE difference over
         # seeds is statistically indistinguishable from zero
         cfgs = SyntheticField(
-            n_tasks=2, labels=("a", "b"), variances=(1.0, 1.0), correlations=(),
+            labels=("a", "b"), variances=(1.0, 1.0), correlations=(),
             lengthscales=(25.0, 30.0), noise_vars=(0.01, 0.01),
             width=120.0, height=100.0, n_samples=14,
         )
@@ -842,12 +888,12 @@ class TestFitStgp:
             m_st = fit_stgp(ds, cfg)
             g = grid.shape[0]
             for t in range(2):
-                p_mt = predict_arrays(
+                p_mt, _ = predict_arrays(
                     m_mt, np.full(g, t, dtype=np.intp), grid, denormalize=True
-                ).mean
-                p_st = predict_arrays(
+                )
+                p_st, _ = predict_arrays(
                     m_st[t], np.zeros(g, dtype=np.intp), grid, denormalize=True
-                ).mean
+                )
                 diffs.append(rmse(p_mt, truth.values[t]) - rmse(p_st, truth.values[t]))
         _, p_value = ttest_rel(diffs, np.zeros(len(diffs)))
         assert p_value > 0.01
@@ -858,7 +904,7 @@ class TestSamplePrior:
 
     def make_field(self, n_samples):
         return SyntheticField(
-            n_tasks=2, labels=("a", "b"), variances=(1.0, 1.0),
+            labels=("a", "b"), variances=(1.0, 1.0),
             correlations=((0, 1, 0.8),), lengthscales=(10.0, 10.0),
             noise_vars=(0.3, 0.3), n_samples=n_samples,
         )
@@ -898,7 +944,7 @@ class TestSamplePrior:
     DRAWS = {
         "convolved_truth": (SyntheticField(n_samples=12, width=80.0, height=60.0),
                             GRID, np.array(GRID) + 3.0, None),
-        "icm_random": (SyntheticField(n_tasks=3, labels=("a", "b", "c"),
+        "icm_random": (SyntheticField(labels=("a", "b", "c"),
                                       variances=(1.0, 2.0, 0.5),
                                       correlations=((0, 2, -0.6),),
                                       lengthscales=(30.0,), noise_vars=(0.1,) * 3,
@@ -1018,8 +1064,8 @@ class TestStructuralInvariants:
         q = np.array([[3.0, 4.0], [20.0, 1.0]])
         r1 = predict_arrays(m1, np.array([0, 1]), q)
         r2 = predict_arrays(m2, np.array([0, 1]), q + shift)
-        np.testing.assert_allclose(r1.mean, r2.mean, atol=1e-8)
-        np.testing.assert_allclose(r1.variance, r2.variance, atol=1e-8)
+        np.testing.assert_allclose(r1[0], r2[0], atol=1e-8)
+        np.testing.assert_allclose(r1[1], r2[1], atol=1e-8)
         np.testing.assert_allclose(
             task_correlations(m1), task_correlations(m2), atol=1e-12
         )

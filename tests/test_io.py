@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from soilgp import io
 from soilgp.data import Rect
-from soilgp.gp import FitConfig, PredictionResult, fit
+from soilgp.gp import FitConfig, fit
 from soilgp.io import (
     RunConfig,
     dataset_digest,
@@ -469,7 +469,7 @@ class TestWriterBytes:
         mean, var = _values(data.draw, q), np.abs(_values(data.draw, q))
         labels = ("a", "b", "c")
         p = tmp_path_factory.mktemp("pred") / "pred.csv"
-        write_predictions(p, labels, PredictionResult(tasks, xy, mean, var, True))
+        write_predictions(p, labels, tasks, xy, mean, var)
         lines = ["task,x_m,y_m,mean,variance"] + [
             ",".join([labels[tasks[k]]]
                      + [repr(float(v)) for v in (*xy[k], mean[k], var[k])])

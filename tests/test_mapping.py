@@ -22,7 +22,7 @@ from soilgp.synthetic import SyntheticField, draw_field
 
 def tiny_model(seed=31, n_samples=6):
     cfg = SyntheticField(
-        n_tasks=2, labels=("a", "b"), variances=(1.0, 1.0),
+        labels=("a", "b"), variances=(1.0, 1.0),
         correlations=((0, 1, 0.6),), lengthscales=(15.0, 25.0),
         noise_vars=(0.05, 0.05), width=60.0, height=40.0, n_samples=n_samples,
     )
@@ -86,23 +86,23 @@ class TestPredictMap:
         maps = predict_map(model, grid)
         assert grid.n_cells == 1
         for i, pm in enumerate(maps):
-            res = predict_arrays(model, np.array([i]), grid.cell_centers)
-            assert pm.mean[0] == res.mean[0]
-            assert pm.variance[0] == res.variance[0]
+            mean, var = predict_arrays(model, np.array([i]), grid.cell_centers)
+            assert pm.mean[0] == mean[0]
+            assert pm.variance[0] == var[0]
 
     def test_matches_pointwise_predict(self):
         model = tiny_model()
         grid = GridSpec(Rect(0, 0, 60, 40), 8.0)
         maps = predict_map(model, grid, denormalize=True)
         for i, pm in enumerate(maps):
-            res = predict_arrays(
+            mean, var = predict_arrays(
                 model,
                 np.full(grid.n_cells, i, dtype=np.intp),
                 grid.cell_centers,
                 denormalize=True,
             )
-            np.testing.assert_array_equal(pm.mean, res.mean)
-            np.testing.assert_array_equal(pm.variance, res.variance)
+            np.testing.assert_array_equal(pm.mean, mean)
+            np.testing.assert_array_equal(pm.variance, var)
 
     def test_memory_bounded_for_any_grid(self, monkeypatch):
         # numpy reports its buffers to tracemalloc; beyond its outputs,
@@ -175,7 +175,7 @@ class TestRmse:
 
 def small_campaign(n_samples=5, seed=41):
     cfg = SyntheticField(
-        n_tasks=2, labels=("a", "b"), variances=(1.0, 1.0),
+        labels=("a", "b"), variances=(1.0, 1.0),
         correlations=((0, 1, 0.7),), lengthscales=(20.0, 20.0),
         noise_vars=(0.05, 0.05), width=60.0, height=40.0, n_samples=n_samples,
     )
@@ -247,7 +247,7 @@ class TestCorrelationTrajectory:
         from soilgp.synthetic import grid_locations
 
         cfg = SyntheticField(
-            n_tasks=2, labels=("a", "b"), variances=(1.0, 1.0),
+            labels=("a", "b"), variances=(1.0, 1.0),
             correlations=(), lengthscales=(25.0, 30.0),
             noise_vars=(0.0025, 0.0025), width=300.0, height=170.0, n_samples=80,
         )

@@ -48,6 +48,12 @@ class TestSampleMass:
         with pytest.raises(ValueError):
             DrillSpec(1e-3, 100.0, -5.0)
 
+    @pytest.mark.parametrize("rho, d", [(1e-3, 1e200), (1e308, 100.0)],
+                             ids=["square_overflows", "product_overflows"])
+    def test_mass_beyond_float_range_refused(self, rho, d):
+        with pytest.raises(ValueError, match="not finite"):
+            sample_mass(DrillSpec(rho, 200.0, d))
+
 
 class TestAugerDiameter:
     def test_trial_average_mass(self):
@@ -62,6 +68,14 @@ class TestAugerDiameter:
             auger_diameter(10.0, 0.0, 200.0)
         with pytest.raises(ValueError):
             auger_diameter(-1.0, 1e-3, 200.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("arg", range(3))
+    def test_rejects_non_finite(self, arg, bad):
+        args = [45.2, 1.3e-3, 200.0]
+        args[arg] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            auger_diameter(*args)
 
     @given(
         rho=st.floats(1e-4, 5e-3),
