@@ -53,11 +53,11 @@ def sample_mass(spec: DrillSpec) -> float:
     """Extracted soil mass in grams for one full-depth core; ValueError if it overflows."""
     try:
         mass = spec.bulk_density * math.pi * spec.depth * (spec.diameter / 2.0) ** 2
-        if math.isfinite(mass):
-            return mass
     except OverflowError:  # the diameter's square
-        pass
-    raise ValueError(f"sample mass of {spec} is not finite")
+        mass = math.inf
+    if not math.isfinite(mass):
+        raise ValueError(f"sample mass of {spec} is not finite")
+    return mass
 
 
 def auger_diameter(target_mass: float, bulk_density: float, depth: float) -> float:

@@ -694,18 +694,21 @@ class TestPredict:
             return v
 
         monkeypatch.setattr(gp_module, "solve_triangular", inflated)
-        xy = model.dataset.xy[model.dataset.task_index == 0]
+        ds = model.dataset
+        xy = ds.xy[ds.task_index == 0]
         with caplog.at_level(logging.DEBUG, logger="soilgp.gp"):
-            for _ in range(2):
-                _, var = predict_tasks(model, (0,), xy)
+            _, var = predict_tasks(model, (0,), xy)
             predict_tasks(model, (0,), [(1e5, 0.0)])  # far away: nothing to clamp
+            predict_arrays(model, ds.task_index, ds.xy)  # one call per task
         prior = model.theta.task_cov()[0, 0]
         raw = (prior - np.einsum("ij,ij->j", solves[0], solves[0]))[: len(xy)]
         neg = raw < 0
         assert neg.any() and np.all(var[0][neg] == 0.0)
         line = (f"clamped {neg.sum()} negative predictive variances "
                 f"(max magnitude {-raw.min():.3e})")
-        assert caplog.messages == [line, line]
+        assert caplog.messages[0] == line
+        assert len(caplog.messages) == 1 + model.n_tasks
+        assert all(m.startswith("clamped ") for m in caplog.messages[1:])
 
     def test_variance_cancellation_stays_tiny(self):
         # raw (un-clamped) predictive variance may only go negative by
