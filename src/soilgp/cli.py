@@ -123,23 +123,25 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     _add_fit_flags(p)
 
+    # synth's defaults are SyntheticField's; the length-scales are taken from the front
+    field = SyntheticField
     p = sub.add_parser("synth", help="draw a synthetic campaign from a known prior")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-samples", type=int, default=30)
-    p.add_argument("--width", type=float, default=300.0)
-    p.add_argument("--height", type=float, default=170.0)
-    p.add_argument("--labels", default="pH,N,P,K")
+    p.add_argument("--n-samples", type=int, default=field.n_samples)
+    p.add_argument("--width", type=float, default=field.width)
+    p.add_argument("--height", type=float, default=field.height)
+    p.add_argument("--labels", default=",".join(field.labels))
     p.add_argument("--variances", help="comma-separated per-task variances")
-    p.add_argument("--lengthscales",
-                   help="comma-separated length-scales in m, one per task or one "
-                        "for icm (default: the first of 40,40,60,80)")
+    p.add_argument("--lengthscales", help="comma-separated length-scales in m, one per "
+                   "task or one for icm (default: the first of %s)"
+                   % ",".join(f"{v:g}" for v in field.lengthscales))
     p.add_argument("--noise", default="0.05", help="per-task noise variances")
-    p.add_argument("--corr", action="append",
-                   help="inter-task correlation as LABEL,LABEL=r "
-                        "(repeatable; default: first two tasks at 0.9)")
+    p.add_argument("--corr", action="append", help="inter-task correlation as "
+                   "LABEL,LABEL=r (repeatable; default: %s)" % ", ".join(
+                       f"tasks {i + 1},{j + 1} at {r:g}" for i, j, r in field.correlations))
     p.add_argument("--mode", type=KernelMode.parse, metavar=_MODE_METAVAR,
-                   default=KernelMode.CONVOLVED)
+                   default=field.mode)
     p.add_argument("--plan", help="take sample locations from a plan CSV")
     p.add_argument("--truth-out", help="also write a noise-free truth grid CSV")
     p.add_argument("--truth-resolution", type=float, default=20.0)
@@ -242,11 +244,6 @@ def _comma_floats(raw, n, what):
     return tuple(vals)
 
 
-# synth's default length-scales, taken from the front: one per task, or one
-# shared under ICM
-_SYNTH_LENGTHSCALES = (40.0, 40.0, 60.0, 80.0)
-
-
 def _cmd_synth(args):
     labels = tuple(s.strip() for s in args.labels.split(","))
     n = len(labels)
@@ -262,28 +259,26 @@ def _cmd_synth(args):
     variances = _comma_floats(args.variances, n, "variances") if args.variances \
         else (1.0,) * n
     n_ls = mode.n_lengthscales(n)
+    default_ls = SyntheticField.lengthscales  # one per task, or one shared under ICM
     if args.lengthscales is not None:
         lengthscales = _comma_floats(args.lengthscales, n_ls, "lengthscales")
-    elif n_ls <= len(_SYNTH_LENGTHSCALES):
-        lengthscales = _SYNTH_LENGTHSCALES[:n_ls]
+    elif n_ls <= len(default_ls):
+        lengthscales = default_ls[:n_ls]
     else:
         raise ValueError(
-            f"{n} tasks need --lengthscales: the default has "
-            f"{len(_SYNTH_LENGTHSCALES)} values"
+            f"{n} tasks need --lengthscales: the default has {len(default_ls)} values"
         )
     noise = _comma_floats(args.noise, n, "noise")
-    if args.corr is None:
-        corr_specs = [f"{labels[0]},{labels[1]}=0.9"] if n >= 2 else []
-    else:
-        corr_specs = args.corr
-    correlations = []
-    for spec in corr_specs:
-        pair, _, rv = spec.partition("=")
-        a, _, b = pair.partition(",")
-        a, b = a.strip(), b.strip()
-        if a not in labels or b not in labels or not rv:
-            raise ValueError(f"bad --corr {spec!r} (expected LABEL,LABEL=r)")
-        correlations.append((labels.index(a), labels.index(b), float(rv)))
+    correlations = SyntheticField.correlations if n >= 2 else ()
+    if args.corr is not None:
+        correlations = []
+        for spec in args.corr:
+            pair, _, rv = spec.partition("=")
+            a, _, b = pair.partition(",")
+            a, b = a.strip(), b.strip()
+            if a not in labels or b not in labels or not rv:
+                raise ValueError(f"bad --corr {spec!r} (expected LABEL,LABEL=r)")
+            correlations.append((labels.index(a), labels.index(b), float(rv)))
 
     cfg = SyntheticField(
         labels=labels,
@@ -299,8 +294,7 @@ def _cmd_synth(args):
     truth_xy = None
     grid = None
     if args.truth_out:
-        grid = GridSpec(Rect(0.0, 0.0, args.width, args.height),
-                        args.truth_resolution)
+        grid = GridSpec(Rect(0.0, 0.0, cfg.width, cfg.height), args.truth_resolution)
         truth_xy = grid.cell_centers
     dataset, truth = draw_field(cfg, args.seed, truth_xy=truth_xy,
                                 locations=locations)

@@ -55,6 +55,11 @@ class Observation:
             )
 
 
+def _sample_ids(count: int) -> list[str]:
+    """S01, S02, ...: ``count`` sample ids, zero-padded to max(2, digits of count)."""
+    return [f"S{j:0{max(2, len(str(count)))}d}" for j in range(1, count + 1)]
+
+
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle (meters)."""

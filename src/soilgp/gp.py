@@ -104,13 +104,11 @@ class FitConfig:
     tol: float = 1e-6
     seed: int = 0
     mode: KernelMode = KernelMode.CONVOLVED
-    noise_floor: float = NOISE_FLOOR
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        for name in ("tol", "noise_floor"):
-            _positive_finite(name, getattr(self, name))
+        _positive_finite("tol", self.tol)
 
 
 def _positive_finite(name: str, v):
@@ -136,12 +134,15 @@ class FittedModel:
     alpha: np.ndarray  # (K + Σ)⁻¹ y
     lml: float
     jitter: float
-    noise_floor: float
     restart_lmls: tuple[float, ...] = field(default=())
 
     @property
     def n_tasks(self) -> int:
         return self.theta.n_tasks
+
+    @property
+    def noise_floor(self) -> float:
+        return NOISE_FLOOR
 
     @property
     def mode(self) -> KernelMode:
@@ -162,8 +163,10 @@ class _Problem:
     order as scipy's cholesky and cho_solve on the assembled covariance,
     so its results are bitwise those of that reference."""
 
-    def __init__(self, dataset: Dataset):
+    def __init__(self, dataset: Dataset, mode: KernelMode):
+        self.mode = mode
         self.n_tasks = n = dataset.n_tasks
+        self.n_ls = mode.n_lengthscales(n)
         self.tasks = t = dataset.task_index
         self.y = dataset.values  # finite: Observation refuses any other value
         self.m = len(self.y)
@@ -174,16 +177,14 @@ class _Problem:
         self.blocks = list(self.layout.blocks(2))  # the spatial matrix and ∂/∂l
         self._work = None  # the gradient's M×M workspaces
 
-    def value(self, theta_vec, mode, noise_floor):
+    def value(self, theta_vec):
         """(lml, state), or (REJECTED, None). The state holds the Cholesky
         factor, the jitter, α = K⁻¹y and what :meth:`gradient` reuses."""
         try:
             _check_theta(theta_vec)
-            L, ls, noise = _unpack(
-                theta_vec, self.n_tasks, mode.n_lengthscales(self.n_tasks), noise_floor
-            )
+            L, ls, noise = _unpack(theta_vec, self.n_tasks, self.n_ls, NOISE_FLOOR)
             Kce = (L @ L.T).take(self.pair)  # Kc[t_p, t_q] for every entry
-            S, dS = _joint_cov(self.layout, self.blocks, None, ls, mode, dl=True)
+            S, dS = _joint_cov(self.layout, self.blocks, None, ls, self.mode, dl=True)
             K = Kce * S
             K.reshape(-1)[:: self.m + 1] += noise[self.tasks]  # the diagonal
             Lf, jitter = chol_with_jitter(K, JITTER_LADDER)
@@ -192,7 +193,7 @@ class _Problem:
         alpha, lml = _solve(Lf, self.y)
         return lml, (Lf, jitter, alpha, (S, dS, L, Kce, ls))
 
-    def gradient(self, state, theta_vec, mode, noise_floor):
+    def gradient(self, state, theta_vec):
         Lf, _, alpha, (S, dS, L, Kce, ls) = state
         n = self.n_tasks
         t = self.tasks
@@ -220,7 +221,7 @@ class _Problem:
         # Length-scales (ICM: dS/dl; CONVOLVED: ∂S/∂l of each entry's row task)
         np.multiply(W, Kce, out=WX)
         WX *= dS
-        if mode is KernelMode.ICM:
+        if self.mode is KernelMode.ICM:
             g_ls = np.array([0.5 * np.sum(WX) * ls[0]])
         else:
             row = np.sum(WX, axis=1)
@@ -228,7 +229,7 @@ class _Problem:
 
         # Noise variances
         g_noise = 0.5 * np.bincount(t, weights=W.reshape(-1)[:: self.m + 1], minlength=n)
-        return _pack_gradient(A, L, g_ls, g_noise, theta_vec, noise_floor)
+        return _pack_gradient(A, L, g_ls, g_noise, theta_vec)
 
 
 # Magnitude bound on packed entries: keeps exp() and the Kc = L Lᵀ
@@ -249,7 +250,7 @@ def _solve(Lf, y):
     return alpha, -0.5 * y @ alpha - np.log(Lf.diagonal()).sum() - 0.5 * len(y) * LOG_2PI
 
 
-def _pack_gradient(A, L, g_ls, g_noise, theta_vec, noise_floor):
+def _pack_gradient(A, L, g_ls, g_noise, theta_vec):
     """The packed gradient from the task-factor term A (the LML's
     gradient in Kc is ½A), the length-scale gradient in log space and
     the noise gradient ½ Σ_p W_pp per task in variance space."""
@@ -258,7 +259,7 @@ def _pack_gradient(A, L, g_ls, g_noise, theta_vec, noise_floor):
     g_chol[diag] *= L.diagonal()  # chain through the log-diagonal
     # noise: chain through the log, zero below the floor, where it is clamped
     raw = np.exp(theta_vec[-L.shape[0]:])
-    return np.concatenate([g_chol, g_ls, g_noise * raw * (raw > noise_floor)])
+    return np.concatenate([g_chol, g_ls, g_noise * raw * (raw > NOISE_FLOOR)])
 
 
 class _KroneckerProblem:
@@ -295,14 +296,15 @@ class _KroneckerProblem:
         Y[slot] = dataset.values
         return cls(Y.reshape(n, layout.u), layout.distances())
 
-    def value(self, theta_vec, mode, noise_floor):
+    def value(self, theta_vec):
         """(lml, what :meth:`gradient` reuses), or (REJECTED, None)."""
         try:
             _check_theta(theta_vec)
-            L, ls, noise = _unpack(theta_vec, self.n_tasks, 1, noise_floor)  # ICM: one l
+            L, ls, noise = _unpack(theta_vec, self.n_tasks, 1, NOISE_FLOOR)  # ICM: one l
             Kc = L @ L.T
             Ks, dKs = np.empty((2, self.m, self.m))  # the one-task table
-            cross_cov_table(self.r, (0,), None, ls, mode, Ks[None, None], dKs[None, None])
+            cross_cov_table(self.r, (0,), None, ls, KernelMode.ICM, Ks[None, None],
+                            dKs[None, None])
             s, V = _eigh(Ks)
             d, w, lam, U, G = _whitened_eigh(Kc, noise, s)
         except (NumericFailure, np.linalg.LinAlgError):
@@ -319,7 +321,7 @@ class _KroneckerProblem:
         )
         return lml, (L, Kc, ls, Ks, dKs, s, V, lam, P, Ginv, alpha)
 
-    def gradient(self, state, theta_vec, mode, noise_floor):
+    def gradient(self, state, theta_vec):
         L, Kc, ls, Ks, dKs, s, V, lam, P, Ginv, alpha = state
         # Task factor: A = α Ks αᵀ − P diag(G⁻¹s) Pᵀ
         A = _dot(_dot(alpha, Ks), alpha.T)
@@ -331,7 +333,7 @@ class _KroneckerProblem:
         g_ls = np.array([0.5 * np.sum(B) * ls[0]])
         # Noise: ½ (Σ_p α_ip² − Σ_k P_ik² Σ_q G⁻¹_kq)
         g_noise = 0.5 * (np.sum(alpha**2, axis=1) - P**2 @ Ginv.sum(axis=1))
-        return _pack_gradient(A, L, g_ls, g_noise, theta_vec, noise_floor)
+        return _pack_gradient(A, L, g_ls, g_noise, theta_vec)
 
 
 # One BLAS per fit. numpy and scipy each load their own OpenBLAS, each with
@@ -397,7 +399,7 @@ def _objective(dataset: Dataset, mode: KernelMode):
         kron = _KroneckerProblem.from_dataset(dataset)
         if kron is not None:
             return kron
-    return _Problem(dataset)
+    return _Problem(dataset, mode)
 
 
 def _check_tasks(theta: HyperParams, dataset: Dataset):
@@ -414,17 +416,17 @@ def log_marginal_likelihood(theta: HyperParams, dataset: Dataset) -> float:
     eigen-path, which agrees with the dense one to rounding."""
     _check_tasks(theta, dataset)
     prob = _objective(dataset, theta.mode)
-    return prob.value(theta.values, theta.mode, NOISE_FLOOR)[0]
+    return prob.value(theta.values)[0]
 
 
 def lml_gradient(theta: HyperParams, dataset: Dataset) -> np.ndarray:
     """Gradient of the log marginal likelihood in the packed space."""
     _check_tasks(theta, dataset)
     prob = _objective(dataset, theta.mode)
-    lml, state = prob.value(theta.values, theta.mode, NOISE_FLOOR)
+    lml, state = prob.value(theta.values)
     if lml == REJECTED:
         raise NumericFailure("cannot differentiate a rejected hyperparameter point")
-    return prob.gradient(state, theta.values, theta.mode, NOISE_FLOOR)
+    return prob.gradient(state, theta.values)
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +451,11 @@ def _data_extent(dataset: Dataset) -> float:
 
 
 def _optimize(prob, config: FitConfig, x0: np.ndarray):
-    mode, floor = config.mode, config.noise_floor
-
     def objective(x):
-        lml, state = prob.value(x, mode, floor)
+        lml, state = prob.value(x)
         if lml == REJECTED:
             return np.inf, np.zeros_like(x)
-        return -lml, -prob.gradient(state, x, mode, floor)
+        return -lml, -prob.gradient(state, x)
 
     res = minimize(
         objective,
@@ -497,27 +497,21 @@ def fit(dataset: Dataset, config: FitConfig) -> FittedModel:
         raise NumericFailure("all restarts rejected; hyperparameter search failed")
 
     theta = HyperParams(best[0], dataset.n_tasks, config.mode)
-    return _build_model(
-        norm_ds, stats, theta, config.noise_floor, tuple(restart_lmls)
-    )
+    return _build_model(norm_ds, stats, theta, tuple(restart_lmls))
 
 
-def condition(
-    dataset: Dataset,
-    theta: HyperParams,
-    noise_floor: float = NOISE_FLOOR,
-) -> FittedModel:
+def condition(dataset: Dataset, theta: HyperParams) -> FittedModel:
     """Model at fixed hyperparameters (no optimization); data is
     normalized exactly as in :func:`fit`."""
     norm_ds, stats = normalize(dataset)
-    return _build_model(norm_ds, stats, theta, noise_floor, ())
+    return _build_model(norm_ds, stats, theta, ())
 
 
-def _build_model(norm_ds, stats, theta, noise_floor, restart_lmls) -> FittedModel:
+def _build_model(norm_ds, stats, theta, restart_lmls) -> FittedModel:
     # always dense: prediction needs the Cholesky factor (the objective's, bitwise)
     _check_tasks(theta, norm_ds)
     _check_theta(theta.values)
-    L, ls, noise = theta.unpack(noise_floor)
+    L, ls, noise = theta.unpack()
     t = norm_ds.task_index
     layout = _Layout(t, norm_ds.xy, theta.n_tasks)
     Lf, jitter = _joint_chol(layout, L @ L.T, ls, theta.mode, noise[t], JITTER_LADDER)
@@ -533,7 +527,6 @@ def _build_model(norm_ds, stats, theta, noise_floor, restart_lmls) -> FittedMode
         alpha=alpha,
         lml=lml,
         jitter=jitter,
-        noise_floor=noise_floor,
         restart_lmls=restart_lmls,
     )
 
@@ -623,7 +616,7 @@ def predict_tasks(
     mean, var = np.empty((2, k, p))
     if not k:
         return mean, var
-    L_task, ls, noise = model.theta.unpack(model.noise_floor)
+    L_task, ls, noise = model.theta.unpack()
     Kc = L_task @ L_task.T
     # per point: k rows of the table (n·U) and of K* (M), a row of the
     # gather index (M) and, transient, the distances and the table's

@@ -20,9 +20,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .data import Dataset, Location, Observation, make_dataset
-from .gp import FitConfig, FittedModel, HyperParams, _positive_finite, condition
-from .kernels import KernelMode
+from .data import Dataset, Location, Observation, _sample_ids, make_dataset
+from .gp import FitConfig, FittedModel, HyperParams, condition
+from .kernels import NOISE_FLOOR, KernelMode
 from .mapping import GroundTruth, GridSpec, PropertyMap, RmseCurves, CorrelationTrajectory
 from .mission import FieldBoundary
 
@@ -244,7 +244,6 @@ class ModelRecord:
     theta: HyperParams
     norm_means: np.ndarray
     norm_stds: np.ndarray
-    noise_floor: float
     data_digest: str
     lml: float
 
@@ -257,7 +256,7 @@ def write_model(path, model: FittedModel, digest: str):
         "theta " + " ".join(_fmt(v) for v in model.theta.values),
         "norm_means " + " ".join(_fmt(v) for v in model.stats.means),
         "norm_stds " + " ".join(_fmt(v) for v in model.stats.stds),
-        f"noise_floor {_fmt(model.noise_floor)}",
+        f"noise_floor {_fmt(NOISE_FLOOR)}",
         f"data_digest {digest}",
         f"lml {_fmt(model.lml)}",
     ]
@@ -295,11 +294,13 @@ def read_model(path) -> ModelRecord:
         theta=field("theta", lambda raw: HyperParams(floats(raw), n_tasks, mode)),
         norm_means=field("norm_means", floats),
         norm_stds=field("norm_stds", floats),
-        # fit writes only a floor that FitConfig accepts
-        noise_floor=field("noise_floor", lambda v: _positive_finite("noise_floor", float(v))),
         data_digest=field("data_digest"),
         lml=field("lml", float),
     )
+    floor = field("noise_floor", float)  # v1 stores the one floor every model uses
+    if floor != NOISE_FLOOR:
+        raise ValueError(f"model file field noise_floor: must be {NOISE_FLOOR!r}, "
+                         f"got {floor!r}")
     if len(record.labels) != n_tasks:
         raise ValueError("model file label count does not match n_tasks")
     return record
@@ -326,7 +327,7 @@ def model_from_record(record: ModelRecord, dataset: Dataset) -> FittedModel:
         )
     if dataset.labels != record.labels:
         raise ValueError("task labels differ between model file and observations")
-    model = condition(dataset, record.theta, record.noise_floor)
+    model = condition(dataset, record.theta)
     for key, agrees in (
         ("norm_means", np.array_equal(record.norm_means, model.stats.means)),
         ("norm_stds", np.array_equal(record.norm_stds, model.stats.stds)),
@@ -485,9 +486,8 @@ PLAN_HEADER = "sample_id,x_m,y_m"
 
 
 def write_plan(path, points):
-    width = max(2, len(str(len(points))))
     _write_lines(path, PLAN_HEADER, (
-        f"S{j + 1:0{width}d},{_fmt(p.x)},{_fmt(p.y)}" for j, p in enumerate(points)
+        f"{sid},{_fmt(p.x)},{_fmt(p.y)}" for sid, p in zip(_sample_ids(len(points)), points)
     ))
 
 

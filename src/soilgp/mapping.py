@@ -153,14 +153,10 @@ def predict_map(
     model: FittedModel,
     grid: GridSpec,
     denormalize: bool = False,
-    include_noise: bool = False,
 ) -> list[PropertyMap]:
     """One mean/variance surface per task, evaluated at every cell center."""
     tasks = range(model.n_tasks)
-    mean, var = predict_tasks(
-        model, tasks, grid.cell_centers, denormalize=denormalize,
-        include_noise=include_noise,
-    )
+    mean, var = predict_tasks(model, tasks, grid.cell_centers, denormalize=denormalize)
     return [
         PropertyMap(
             label=model.dataset.labels[i],

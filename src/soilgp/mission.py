@@ -63,7 +63,7 @@ def sample_mass(spec: DrillSpec) -> float:
 def auger_diameter(target_mass: float, bulk_density: float, depth: float) -> float:
     """Auger diameter (mm) that extracts ``target_mass`` grams.
 
-    Exact inverse of :func:`sample_mass`: d = 2·√(m / (ρ·π·L)).
+    Exact inverse of :func:`sample_mass`: d = 2·√(m / (ρ·π·L)), if finite.
     """
     if not all(map(math.isfinite, (target_mass, bulk_density, depth))):
         raise ValueError("target mass, bulk density and depth must be finite")
@@ -71,7 +71,11 @@ def auger_diameter(target_mass: float, bulk_density: float, depth: float) -> flo
         raise ValueError("target mass must be non-negative")
     if bulk_density <= 0 or depth <= 0:
         raise ValueError("bulk density and depth must be positive")
-    return 2.0 * math.sqrt(target_mass / (bulk_density * math.pi * depth))
+    denominator = bulk_density * math.pi * depth  # 0 if the product underflows
+    diameter = 2.0 * math.sqrt(target_mass / denominator) if denominator else math.inf
+    if not math.isfinite(diameter):
+        raise ValueError(f"auger diameter for {target_mass} g is not finite")
+    return diameter
 
 
 def _polygon_area2(poly) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Location, Observation, make_dataset
+from .data import Dataset, Location, Observation, _sample_ids, make_dataset
 from .gp import HyperParams, _positive_finite, theta_from_moments
 from .kernels import KernelMode, _joint_chol, _Layout
 from .mapping import GroundTruth
@@ -59,10 +59,17 @@ class SyntheticField:
         n_ls = self.mode.n_lengthscales(n)
         if len(self.lengthscales) != n_ls:
             raise ValueError(f"expected {n_ls} length-scale(s)")
-        for name in ("width", "height"):
-            _positive_finite(name, getattr(self, name))
+        for name in ("width", "height", "variances", "noise_vars"):
+            for v in np.atleast_1d(getattr(self, name)).tolist():
+                _positive_finite(name, v)
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
+        pairs = [{i, j} for i, j, _ in self.correlations]
+        for i, j, r in self.correlations:
+            if not (0 <= i < n and 0 <= j < n and i != j) or pairs.count({i, j}) > 1:
+                raise ValueError(f"correlations: ({i}, {j}) must be two of {n} tasks, once")
+            if not abs(r) <= 1:  # also false for NaN
+                raise ValueError(f"correlations: ({i}, {j}) has r = {r!r}, not in [-1, 1]")
 
 
 def correlation_matrix(cfg: SyntheticField) -> np.ndarray:
@@ -73,10 +80,13 @@ def correlation_matrix(cfg: SyntheticField) -> np.ndarray:
 
 
 def prior_theta(cfg: SyntheticField) -> HyperParams:
-    return theta_from_moments(
-        cfg.variances, correlation_matrix(cfg), cfg.lengthscales, cfg.noise_vars,
-        cfg.mode,
-    )
+    try:
+        return theta_from_moments(
+            cfg.variances, correlation_matrix(cfg), cfg.lengthscales, cfg.noise_vars,
+            cfg.mode,
+        )
+    except np.linalg.LinAlgError:  # each pair valid, the matrix not positive definite
+        raise ValueError(f"correlations {cfg.correlations} are not jointly valid") from None
 
 
 def random_locations(rng: np.random.Generator, n: int, width: float, height: float):
@@ -165,11 +175,9 @@ def draw_field(
     eps = rng.standard_normal(m * n) * noise_std[train_tasks]
     y_train = latent[: m * n] + eps
 
-    width = max(2, len(str(m)))
     obs = []
     k = 0
-    for j, loc in enumerate(locs):
-        sid = f"S{j + 1:0{width}d}"
+    for j, (sid, loc) in enumerate(zip(_sample_ids(m), locs)):
         for i in range(n):
             if observed is None or observed[j, i]:
                 obs.append(Observation(sid, loc, i, float(y_train[k])))

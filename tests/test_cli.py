@@ -53,6 +53,16 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "fit", "--obs", "x.csv")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--obs", "o.csv", "--out", "m.txt"),
+        ("eval-sequential", "--obs", "o.csv", "--truth", "t.csv", "--out", "c.csv"),
+        ("correlations", "--obs", "o.csv", "--out", "c.csv"),
+    ], ids=["fit", "eval-sequential", "correlations"])
+    def test_noise_floor_is_not_a_setting(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--noise-floor", "1e-6")
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --noise-floor 1e-6" in err
+
     def test_correlations_needs_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run(capsys, "correlations", "--out", str(tmp_path / "c.csv"))
         assert code == EXIT_USAGE
@@ -173,10 +183,7 @@ class TestNonFiniteInputs:
         assert code == EXIT_DATA
         assert "theta dimension mismatch" in err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--noise-floor", "nan"), ("--noise-floor", "inf"),
-        ("--tol", "nan"), ("--tol", "inf"),
-    ])
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf")])
     def test_fit_setting(self, capsys, tmp_path, fitted, flag, value):
         obs, _ = fitted
         out = tmp_path / "model.txt"
@@ -249,7 +256,22 @@ class TestModelFileFields:
         code, _, err = run(capsys, command, "--model", str(bad), "--obs", str(obs),
                            *out[command])
         assert code == EXIT_DATA
-        assert "model file field noise_floor: noise_floor must be positive and finite" in err
+        assert "model file field noise_floor: must be 1e-08, got" in err
+        assert not (tmp_path / "maps").exists() and not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("command", ["map", "predict"])
+    def test_noise_floor_is_the_constant(self, capsys, tmp_path, fitted, command):
+        # every model has the floor 1e-08; a file with another one is not rebuilt
+        obs, model = fitted
+        bad = with_field(model, tmp_path, "noise_floor", lambda v: ["1e-06"])
+        queries = tmp_path / "q.csv"
+        queries.write_text("task,x_m,y_m\npH,1.0,2.0\n")
+        out = {"map": ["--out-dir", str(tmp_path / "maps")],
+               "predict": ["--queries", str(queries), "--out", str(tmp_path / "p.csv")]}
+        code, _, err = run(capsys, command, "--model", str(bad), "--obs", str(obs),
+                           *out[command])
+        assert code == EXIT_DATA
+        assert "model file field noise_floor: must be 1e-08, got 1e-06" in err
         assert not (tmp_path / "maps").exists() and not (tmp_path / "p.csv").exists()
 
     def test_lml_within_rounding_accepted(self, capsys, tmp_path, fitted):
@@ -456,6 +478,25 @@ class TestSynth:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--corr", "pH,pH=0.5"), "correlations: (0, 0) must be two of 4 tasks, once"),
+        (("--corr", "pH,N=0.5", "--corr", "N,pH=-0.5"),
+         "correlations: (0, 1) must be two of 4 tasks, once"),
+        (("--corr", "pH,N=1.5"), "correlations: (0, 1) has r = 1.5, not in [-1, 1]"),
+        (("--corr", "pH,N=nan"), "correlations: (0, 1) has r = nan"),
+        (("--corr", "pH,N=0.9", "--corr", "N,P=0.9", "--corr", "pH,P=-0.9"),
+         "are not jointly valid"),
+        (("--variances", "-1"), "variances must be positive and finite, got -1.0"),
+        (("--noise", "nan"), "noise_vars must be positive and finite, got nan"),
+    ], ids=["self", "twice", "above_one", "nan_r", "not_jointly", "variance", "noise"])
+    def test_generator_setting_refused(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "o.csv"
+        code, _, err = run(capsys, "synth", "--out", str(out), *argv)
+        assert code == EXIT_DATA
+        assert message in err
+        assert "Warning" not in err
+        assert not out.exists()
+
     def test_bad_corr_spec(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--out", str(tmp_path / "o.csv"),
@@ -578,6 +619,16 @@ class TestConfigFile:
                               "--max-iters", "30", "--seed", "0", name="z.txt")
         assert overridden == flags_only
         assert from_file != flags_only  # the seed matters, so the test can fail
+
+    def test_noise_floor_key_refused(self, capsys, tmp_path, fitted):
+        obs, _ = fitted
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("noise_floor = 1e-6\n")
+        code, _, err = run(capsys, "fit", "--obs", str(obs), "--out",
+                           str(tmp_path / "m.txt"), "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert "line 1: unknown key 'noise_floor'" in err
+        assert not (tmp_path / "m.txt").exists()
 
     def test_file_reaches_map(self, capsys, tmp_path, fitted):
         obs, model = fitted

@@ -46,7 +46,7 @@ from soilgp.kernels import (
     matern32,
     matern32_dl,
 )
-from soilgp.mapping import GridSpec, predict_map, rmse
+from soilgp.mapping import GridSpec, rmse
 from soilgp.synthetic import SyntheticField, draw_field, prior_theta
 
 
@@ -162,12 +162,11 @@ class TestObjectiveCovariance:
                            float(rng.normal())) for j in range(m)]
         ds = make_dataset(obs, n)
         theta = random_theta(rng, n, mode, 1e-3)
-        floor = gp_module.NOISE_FLOOR
 
         def evaluate():
-            prob = gp_module._Problem(ds)
-            lml, state = prob.value(theta.values, mode, floor)
-            prob.gradient(state, theta.values, mode, floor)
+            prob = gp_module._Problem(ds, mode)
+            lml, state = prob.value(theta.values)
+            prob.gradient(state, theta.values)
             return lml
 
         lml, peak, _ = traced_squares(evaluate, m)
@@ -256,9 +255,8 @@ class TestDenseObjectiveBitwise:
     @staticmethod
     def evaluate(prob, theta):
         """(lml, state, gradient) of one evaluation at theta."""
-        floor = gp_module.NOISE_FLOOR
-        lml, state = prob.value(theta.values, theta.mode, floor)
-        return lml, state, prob.gradient(state, theta.values, theta.mode, floor)
+        lml, state = prob.value(theta.values)
+        return lml, state, prob.gradient(state, theta.values)
 
     @pytest.mark.parametrize("name", [
         "homotopic_4", "heterotopic", "one_task", "dense_icm", "in_band",
@@ -269,7 +267,7 @@ class TestDenseObjectiveBitwise:
         if name == "in_band":
             ls = theta.unpack()[1]
             assert ls[0] != ls[1] and abs(ls[0] - ls[1]) <= 1e-4 * max(ls[:2])
-        lml, state, grad = self.evaluate(gp_module._Problem(ds), theta)
+        lml, state, grad = self.evaluate(gp_module._Problem(ds, theta.mode), theta)
         ref_lml, ref_grad, ref_Lf, ref_alpha = dense_reference(theta, ds)
         assert state[1] == 0.0  # no jitter, as the reference assumes
         assert lml == ref_lml
@@ -294,12 +292,11 @@ class TestDenseObjectiveBitwise:
     def test_states_do_not_share_memory(self):
         ds, theta1 = self.case("heterotopic")
         theta2 = HyperParams(theta1.values + 0.2, theta1.n_tasks, theta1.mode)
-        prob = gp_module._Problem(ds)
-        floor = gp_module.NOISE_FLOOR
-        lml1, state1 = prob.value(theta1.values, theta1.mode, floor)
+        prob = gp_module._Problem(ds, theta1.mode)
+        lml1, state1 = prob.value(theta1.values)
         kept = [state1[0].copy(), state1[2].copy()]
         lml2, state2, grad2 = self.evaluate(prob, theta2)
-        grad1 = prob.gradient(state1, theta1.values, theta1.mode, floor)
+        grad1 = prob.gradient(state1, theta1.values)
         for theta, lml, grad in ((theta1, lml1, grad1), (theta2, lml2, grad2)):
             ref_lml, ref_grad, _, _ = dense_reference(theta, ds)
             assert lml == ref_lml
@@ -311,7 +308,7 @@ class TestDenseObjectiveBitwise:
         ds, theta = self.case("heterotopic")
         model = condition(ds, theta)
         kept = model.chol_factor.copy(), model.alpha.copy()
-        prob = gp_module._Problem(model.dataset)
+        prob = gp_module._Problem(model.dataset, theta.mode)
         other = HyperParams(theta.values - 0.3, theta.n_tasks, theta.mode)
         for th in (other, theta, other):
             self.evaluate(prob, th)
@@ -330,11 +327,11 @@ class TestKroneckerPath:
 
     @staticmethod
     def dense(ds, theta):
-        prob = gp_module._Problem(ds)
-        lml, state = prob.value(theta.values, theta.mode, gp_module.NOISE_FLOOR)
+        prob = gp_module._Problem(ds, theta.mode)
+        lml, state = prob.value(theta.values)
         if lml == gp_module.REJECTED:
             return lml, None
-        return lml, prob.gradient(state, theta.values, theta.mode, gp_module.NOISE_FLOOR)
+        return lml, prob.gradient(state, theta.values)
 
     @staticmethod
     def factorizations(monkeypatch):
@@ -468,7 +465,7 @@ class TestKroneckerPath:
         v = theta.values.copy()
         v[3] = gp_module._THETA_CAP + 1.0  # log length-scale
         prob = gp_module._objective(ds, KernelMode.ICM)
-        assert prob.value(v, KernelMode.ICM, gp_module.NOISE_FLOOR)[0] == gp_module.REJECTED
+        assert prob.value(v)[0] == gp_module.REJECTED
         with pytest.raises(gp_module.NumericFailure):
             condition(ds, HyperParams(v, 2, KernelMode.ICM))
 
@@ -495,9 +492,9 @@ class TestKroneckerPath:
         built = []
 
         class Counted(gp_module._Problem):
-            def __init__(self, dataset):
+            def __init__(self, dataset, mode):
                 built.append(len(dataset))
-                super().__init__(dataset)
+                super().__init__(dataset, mode)
 
         monkeypatch.setattr(gp_module, "_Problem", Counted)
         model = fit(ds, FitConfig(restarts=2, seed=3, max_iters=40, mode=KernelMode.ICM))
@@ -787,7 +784,8 @@ class TestPredictionCore:
         grid = GridSpec(Rect(-5, 0, 65, 40), 3.0)  # 23 x 13 = 299 cells
         monkeypatch.setattr(gp_module, "_BLOCK_BYTES", 50_000)
         cdist_calls.clear()  # the conditioning's own
-        maps = predict_map(model, grid, include_noise=True, denormalize=True)
+        got = predict_tasks(model, range(model.n_tasks), grid.cell_centers,
+                            denormalize=True, include_noise=True)
 
         n_locations = len(np.unique(model.dataset.xy, axis=0))
         block = cdist_calls[0][0]
@@ -802,8 +800,8 @@ class TestPredictionCore:
         stds, means = model.stats.stds[tasks], model.stats.means[tasks]
         mean = mean * stds + means
         var = (var + noise[tasks]) * stds**2
-        np.testing.assert_array_equal(np.concatenate([pm.mean for pm in maps]), mean)
-        np.testing.assert_array_equal(np.concatenate([pm.variance for pm in maps]), var)
+        np.testing.assert_array_equal(got[0].reshape(-1), mean)
+        np.testing.assert_array_equal(got[1].reshape(-1), var)
 
     @pytest.mark.parametrize("budget", [1, 20_000, None])
     @pytest.mark.parametrize("name", sorted(PREDICTION_MODELS))

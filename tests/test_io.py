@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +136,11 @@ class TestRunConfig:
     def test_every_fit_setting_is_a_key(self):
         fit_keys = [f.name for f in dataclasses.fields(FitConfig)]
         assert list(io.SETTING_PARSERS) == fit_keys + ["resolution", "denormalize"]
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = readme.split("with keys", 1)[1].split(";", 1)[0]
+        assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(io.SETTING_PARSERS)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -77,6 +77,14 @@ class TestAugerDiameter:
         with pytest.raises(ValueError, match="must be finite"):
             auger_diameter(*args)
 
+    @pytest.mark.parametrize("args", [
+        (1.0, 1e-200, 1e-200),  # ρ·π·L underflows to 0
+        (1e308, 1e-10, 1.0),  # the quotient overflows
+    ], ids=["underflow", "overflow"])
+    def test_diameter_beyond_float_range_refused(self, args):
+        with pytest.raises(ValueError, match="auger diameter .* is not finite"):
+            auger_diameter(*args)
+
     @given(
         rho=st.floats(1e-4, 5e-3),
         depth=st.floats(1.0, MAX_DRILL_DEPTH_MM),
