@@ -12,11 +12,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .data import Rect
+from .data import Rect, check_labels
 from .gp import FitConfig, NumericFailure, correlation_matrix, fit, predict_arrays
 from .io import (
-    _LABEL_RE,
-    MAX_TASK_LABELS,
     SETTING_PARSERS,
     RunConfig,
     dataset_digest,
@@ -132,11 +130,13 @@ def build_parser() -> _Parser:
     p.add_argument("--width", type=float, default=field.width)
     p.add_argument("--height", type=float, default=field.height)
     p.add_argument("--labels", default=",".join(field.labels))
-    p.add_argument("--variances", help="comma-separated per-task variances")
+    p.add_argument("--variances", help="comma-separated per-task variances "
+                   "(default: %g each)" % field.TASK_VARIANCE)
     p.add_argument("--lengthscales", help="comma-separated length-scales in m, one per "
                    "task or one for icm (default: the first of %s)"
                    % ",".join(f"{v:g}" for v in field.lengthscales))
-    p.add_argument("--noise", default="0.05", help="per-task noise variances")
+    p.add_argument("--noise", help="comma-separated per-task noise variances "
+                   "(default: %g each)" % field.TASK_NOISE_VAR)
     p.add_argument("--corr", action="append", help="inter-task correlation as "
                    "LABEL,LABEL=r (repeatable; default: %s)" % ", ".join(
                        f"tasks {i + 1},{j + 1} at {r:g}" for i, j, r in field.correlations))
@@ -247,17 +247,12 @@ def _comma_floats(raw, n, what):
 def _cmd_synth(args):
     labels = tuple(s.strip() for s in args.labels.split(","))
     n = len(labels)
-    # refused here by the rule fit reads them with, before anything is drawn
-    for label in labels:
-        if not _LABEL_RE.match(label):
-            raise ValueError(f"invalid task label {label!r}")
-    if n > MAX_TASK_LABELS:
-        raise ValueError(f"more than {MAX_TASK_LABELS} task labels")
+    check_labels(labels)  # SyntheticField's rule, before any other setting
     mode = args.mode
     locations = parse_plan(args.plan) if args.plan else None
     n_samples = len(locations) if locations is not None else args.n_samples
     variances = _comma_floats(args.variances, n, "variances") if args.variances \
-        else (1.0,) * n
+        else (SyntheticField.TASK_VARIANCE,) * n
     n_ls = mode.n_lengthscales(n)
     default_ls = SyntheticField.lengthscales  # one per task, or one shared under ICM
     if args.lengthscales is not None:
@@ -268,7 +263,8 @@ def _cmd_synth(args):
         raise ValueError(
             f"{n} tasks need --lengthscales: the default has {len(default_ls)} values"
         )
-    noise = _comma_floats(args.noise, n, "noise")
+    noise = _comma_floats(args.noise, n, "noise") if args.noise \
+        else (SyntheticField.TASK_NOISE_VAR,) * n
     correlations = SyntheticField.correlations if n >= 2 else ()
     if args.corr is not None:
         correlations = []

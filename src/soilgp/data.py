@@ -9,6 +9,7 @@ be heterotopic: a location does not need to carry every task.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -21,6 +22,7 @@ __all__ = [
     "Rect",
     "Dataset",
     "NormStats",
+    "check_labels",
     "make_dataset",
     "normalize",
     "prefix",
@@ -58,6 +60,24 @@ class Observation:
 def _sample_ids(count: int) -> list[str]:
     """S01, S02, ...: ``count`` sample ids, zero-padded to max(2, digits of count)."""
     return [f"S{j:0{max(2, len(str(count)))}d}" for j in range(1, count + 1)]
+
+
+# The task-label rule of observation files, which io.parse_observations
+# reads them by and check_labels applies to a whole set.
+MAX_TASK_LABELS = 16
+_LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
+
+
+def check_labels(labels) -> None:
+    """ValueError unless every label matches the label rule, there are at
+    most ``MAX_TASK_LABELS`` of them and no two are equal."""
+    for label in labels:
+        if not _LABEL_RE.match(label):
+            raise ValueError(f"invalid task label {label!r}")
+    if len(labels) > MAX_TASK_LABELS:
+        raise ValueError(f"more than {MAX_TASK_LABELS} task labels")
+    if len(set(labels)) != len(labels):
+        raise ValueError("task labels must be unique")
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,12 @@ from .kernels import (
     NOISE_FLOOR,
     KernelMode,
     NumericFailure,
+    _chol_in_place,
     _joint_chol,
     _joint_cov,
     _Layout,
     _tril_slots,
     _unpack,
-    chol_with_jitter,
     cross_cov_table,
     pack_theta,
     theta_dim,
@@ -185,9 +185,12 @@ class _Problem:
             L, ls, noise = _unpack(theta_vec, self.n_tasks, self.n_ls, NOISE_FLOOR)
             Kce = (L @ L.T).take(self.pair)  # Kc[t_p, t_q] for every entry
             S, dS = _joint_cov(self.layout, self.blocks, None, ls, self.mode, dl=True)
-            K = Kce * S
-            K.reshape(-1)[:: self.m + 1] += noise[self.tasks]  # the diagonal
-            Lf, jitter = chol_with_jitter(K, JITTER_LADDER)
+            diag = noise[self.tasks]
+            def build():
+                K = Kce * S
+                K.reshape(-1)[:: self.m + 1] += diag  # the diagonal
+                return K.T  # K is bitwise symmetric: this is K in Fortran order
+            Lf, jitter = _chol_in_place(build, JITTER_LADDER)
         except NumericFailure:
             return REJECTED, None
         alpha, lml = _solve(Lf, self.y)
@@ -603,6 +606,9 @@ def predict_tasks(
     gathers each observation's column of the rows' cross-covariance K*.
     One gemv gives the means K* α and one triangular solve v = L⁻¹K*ᵀ the
     variances Kc_ii − vᵀv.
+
+    Raises ValueError for a point that is not finite, or whose distance to
+    a training location overflows.
     """
     n = model.n_tasks
     rows = np.array([int(i) for i in tasks], dtype=np.intp)
@@ -637,6 +643,11 @@ def predict_tasks(
         if not np.all(np.isfinite(xy[s:e])):
             raise ValueError("query coordinates must be finite")
         r = cdist(xy[s:e], layout.locs)
+        # cdist squares each offset, so one beyond ~1.3e154 m gives r = inf,
+        # and the Matérn there (1 + z)·e^(−z) = inf·0, a NaN
+        if not np.all(np.isfinite(r)):
+            raise ValueError("query points lie too far from the training locations: "
+                             "their distances overflow")
         cross_cov_table(r, rows, Kc, ls, model.mode, table[:, :, :b])
         q = _aligned(k * b)
         np.take(table.reshape(k, -1), index[:b], axis=1,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-import re
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -20,7 +19,15 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .data import Dataset, Location, Observation, _sample_ids, make_dataset
+from .data import (
+    _LABEL_RE,
+    MAX_TASK_LABELS,
+    Dataset,
+    Location,
+    Observation,
+    _sample_ids,
+    make_dataset,
+)
 from .gp import FitConfig, FittedModel, HyperParams, condition
 from .kernels import NOISE_FLOOR, KernelMode
 from .mapping import GroundTruth, GridSpec, PropertyMap, RmseCurves, CorrelationTrajectory
@@ -55,10 +62,7 @@ __all__ = [
 
 OBS_HEADER = "sample_id,x_m,y_m,task,value"
 MODEL_FORMAT_TAG = "soilgp-model v1"
-MAX_TASK_LABELS = 16
 NODATA = -9999.0
-
-_LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
 
 def _write_lines(path, header: str, lines):

@@ -8,11 +8,12 @@ curves have an exact reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Location, Observation, _sample_ids, make_dataset
+from .data import Dataset, Location, Observation, _sample_ids, check_labels, make_dataset
 from .gp import HyperParams, _positive_finite, theta_from_moments
 from .kernels import KernelMode, _joint_chol, _Layout
 from .mapping import GroundTruth
@@ -37,12 +38,17 @@ MAX_DRAW_POINTS = 3600
 class SyntheticField:
     """Generator settings for one synthetic campaign."""
 
+    # one task's variance and noise variance unless given: the defaults
+    # below at four tasks, and synth's at any task count
+    TASK_VARIANCE = 1.0
+    TASK_NOISE_VAR = 0.05
+
     labels: tuple[str, ...] = ("pH", "N", "P", "K")
-    variances: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
+    variances: tuple[float, ...] = (TASK_VARIANCE,) * 4
     # (i, j, r) entries; unlisted pairs are uncorrelated
     correlations: tuple[tuple[int, int, float], ...] = ((0, 1, 0.9),)
     lengthscales: tuple[float, ...] = (40.0, 40.0, 60.0, 80.0)
-    noise_vars: tuple[float, ...] = (0.05, 0.05, 0.05, 0.05)
+    noise_vars: tuple[float, ...] = (TASK_NOISE_VAR,) * 4
     width: float = 300.0
     height: float = 170.0
     n_samples: int = 30
@@ -53,6 +59,7 @@ class SyntheticField:
         return len(self.labels)
 
     def __post_init__(self):
+        check_labels(self.labels)  # the rule the observation file is read by
         n = self.n_tasks
         if not len(self.variances) == len(self.noise_vars) == n:
             raise ValueError("per-task settings must all have one entry per label")
@@ -62,6 +69,10 @@ class SyntheticField:
         for name in ("width", "height", "variances", "noise_vars"):
             for v in np.atleast_1d(getattr(self, name)).tolist():
                 _positive_finite(name, v)
+        w, h = float(self.width), float(self.height)
+        if not math.isfinite(w * w + h * h):  # cdist squares the offsets
+            raise ValueError(f"width {w!r} and height {h!r}: distances across the "
+                             "field overflow")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
         pairs = [{i, j} for i, j, _ in self.correlations]

@@ -193,6 +193,28 @@ class TestNonFiniteInputs:
         assert f"{flag[2:].replace('-', '_')} must be positive and finite" in err
         assert not out.exists()
 
+    def test_map_points_whose_distances_overflow(self, capsys, tmp_path, fitted):
+        # 100 x 100 cells: every cell's distance to the samples squares to inf
+        obs, model = fitted
+        out_dir = tmp_path / "maps"
+        code, _, err = run(
+            capsys, "map", "--model", str(model), "--obs", str(obs), "--out-dir",
+            str(out_dir), "--bounds", "0,0,1e308,1e308", "--resolution", "1e306",
+        )
+        assert code == EXIT_DATA
+        assert "distances overflow" in err
+        assert "Warning" not in err
+        assert not (out_dir / "map.csv").exists()
+
+    def test_synth_extent_whose_distances_overflow(self, capsys, tmp_path):
+        out = tmp_path / "o.csv"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--n-samples", "5",
+                           "--width", "1e308", "--height", "1e308")
+        assert code == EXIT_DATA
+        assert "width 1e+308 and height 1e+308" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--width", "nan"), ("--width", "inf"), ("--width", "-5"), ("--height", "0"),
     ])

@@ -1,4 +1,5 @@
 import logging
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,6 @@ from soilgp import kernels
 from soilgp.kernels import (
     KernelMode,
     assemble_training_cov,
-    chol_with_jitter,
     cross_cov_table,
     cross_matern32,
     cross_matern32_dli,
@@ -48,6 +48,22 @@ from soilgp.kernels import (
 )
 from soilgp.mapping import GridSpec, rmse
 from soilgp.synthetic import SyntheticField, draw_field, prior_theta
+
+
+def spy_objective_factor(monkeypatch, record):
+    """Pass each matrix the dense objective factors to ``record`` as it is
+    built, before the factorization overwrites it: the objective hands
+    ``_chol_in_place`` a build function, which the spy wraps."""
+    factor = gp_module._chol_in_place
+
+    def chol_spy(build, ladder):
+        def build_spy():
+            K = build()
+            record(K)
+            return K
+        return factor(build_spy, ladder)
+
+    monkeypatch.setattr(gp_module, "_chol_in_place", chol_spy)
 
 
 def single_point_dataset():
@@ -137,17 +153,15 @@ class TestObjectiveCovariance:
             v[6 : 6 + (1 if mode is KernelMode.ICM else 3)] = np.log(ULP_LENGTHSCALE)
             theta = HyperParams(v, 3, mode)
         factored = []
-
-        def spy(K, *args):
-            factored.append(K.copy())
-            return chol_with_jitter(K, *args)
-
-        monkeypatch.setattr(gp_module, "chol_with_jitter", spy)
+        spy_objective_factor(monkeypatch, lambda K: factored.append(K.copy()))
         log_marginal_likelihood(theta, ds)
         L, ls, noise = theta.unpack()
         expected = assemble_training_cov(ds.task_index, ds.xy, L @ L.T, ls, noise, mode)
         assert len(factored) == 1
         assert np.array_equal(factored[0], expected)
+        # bitwise symmetric, so the transpose view factored in place is the
+        # Fortran-ordered copy chol_with_jitter would factor
+        assert np.array_equal(factored[0], factored[0].T)
 
     @pytest.mark.parametrize("mode", list(KernelMode))
     def test_memory_on_a_layout_without_shared_locations(self, mode):
@@ -172,6 +186,19 @@ class TestObjectiveCovariance:
         lml, peak, _ = traced_squares(evaluate, m)
         assert np.isfinite(lml)
         assert peak < 9.5
+
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_value_factors_its_covariance_in_place(self, mode):
+        # One value at M = 400 (100 locations x 4 tasks) holds the task
+        # factor gathered per entry, S, ∂S/∂l and K, which it factors in its
+        # own memory, plus the row blocks' tables. Factoring a Fortran-ordered
+        # copy of K instead peaked at 5.13 M×M arrays in both modes.
+        ds, theta = homotopic_instance(1109, 4, mode=mode, n_locations=100)
+        prob = gp_module._Problem(ds, mode)
+        (lml, _), peak, held = traced_squares(lambda: prob.value(theta.values), len(ds))
+        assert np.isfinite(lml)
+        assert peak < 4.5
+        assert held < 4.1  # S, ∂S/∂l, the gathered task factor and the factor
 
     @pytest.mark.parametrize("mode", list(KernelMode))
     def test_memory_of_the_model_build(self, mode):
@@ -336,12 +363,7 @@ class TestKroneckerPath:
     @staticmethod
     def factorizations(monkeypatch):
         calls = []
-
-        def spy(K, *args):
-            calls.append(K.shape)
-            return chol_with_jitter(K, *args)
-
-        monkeypatch.setattr(gp_module, "chol_with_jitter", spy)
+        spy_objective_factor(monkeypatch, lambda K: calls.append(K.shape))
         return calls
 
     @ORDERS
@@ -642,6 +664,17 @@ class TestPredict:
                 model, np.array([0, 1]), np.array([[0.0, 1.0], [np.nan, 2.0]])
             )
 
+    @pytest.mark.parametrize("points", [[[1e200, 1e200]], [[10.0, 10.0], [-1e160, 5.0]]],
+                             ids=["far", "far_after_near"])
+    def test_query_whose_distances_overflow_rejected(self, points):
+        # cdist squares the offsets: beyond ~1.3e154 m the distance is inf
+        # and the Matérn there (1 + z)·e^(−z) = inf·0 was a NaN
+        model, _ = self.model_on_prior_draw()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="distances overflow"):
+                predict_tasks(model, range(model.n_tasks), points)
+
     def test_include_noise_adds_task_variance(self):
         model, _ = self.model_on_prior_draw(noise=0.04)
         q = ([1], [(12.0, 13.0)])
@@ -912,6 +945,22 @@ class TestSamplePrior:
 
     def draw(self, locs, seed):
         return draw_field(self.make_field(len(locs)), seed, locations=locs)[0]
+
+    @pytest.mark.parametrize("labels, message", [
+        (("p H", "N", "P", "K"), "invalid task label 'p H'"),
+        (tuple(f"T{i}" for i in range(17)), "more than 16 task labels"),
+        (("pH", "N", "pH", "K"), "task labels must be unique"),
+    ], ids=["space", "seventeen", "repeated"])
+    def test_labels_follow_the_observation_file_rule(self, labels, message):
+        # refused before anything is drawn: the space drew and wrote a file
+        # that parse_observations refuses
+        with pytest.raises(ValueError, match=message):
+            SyntheticField(labels=labels, n_samples=4)
+
+    def test_extent_whose_distances_overflow_refused(self):
+        with pytest.raises(ValueError, match="width 1e\\+200 and height 1.0"):
+            SyntheticField(width=1e200, height=1.0)
+        SyntheticField(width=1e150, height=1e150)  # squares stay finite
 
     def test_shape_and_ordering(self):
         locs = [Location(0, 0), Location(5, 5), Location(9, 2)]

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import cholesky
 from scipy.spatial.distance import cdist
 
-from conftest import ULP_LENGTHSCALE, assemble_cross_cov, naive_cov
+from conftest import ULP_LENGTHSCALE, assemble_cross_cov, naive_cov, traced_squares
 from soilgp import kernels
 from soilgp.kernels import (
     JITTER_LADDER,
@@ -463,6 +463,40 @@ class TestCholWithJitter:
     def test_rejects_non_finite(self):
         with pytest.raises(NumericFailure):
             chol_with_jitter(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_finiteness_flags_stay_within_a_slice_budget(self):
+        # N = 1,720, the size of the benchmark's campaign draw: factoring
+        # holds the N×N covariance and one column slice of finiteness flags,
+        # about 1 MiB. One N²-byte array of flags added 2.8 MB instead.
+        n = 1720
+        (L, jitter), peak, _ = traced_squares(
+            lambda: kernels._chol_in_place(lambda: np.eye(n).T, (0.0,)), n)
+        assert jitter == 0.0
+        assert np.array_equal(L, np.eye(n))
+        assert (peak - 1.0) * n * n * 8 <= 1.5 * 2**20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("rung", range(len(JITTER_LADDER)))
+    def test_non_finite_refused_in_every_slice_at_every_rung(self, monkeypatch, rung,
+                                                             bad):
+        # −I fails at every rung, so the ladder builds K again each time;
+        # the rung-th build puts one non-finite entry in column ``col``, and
+        # with 16 bytes of flags a slice is two of the eight columns.
+        monkeypatch.setattr(kernels, "_CHECK_BYTES", 16)
+        n = 8
+        for col in range(n):
+            builds = []
+
+            def build():
+                K = -np.eye(n).T
+                if len(builds) == rung:
+                    K[(col + 3) % n, col] = bad
+                builds.append(K)
+                return K
+
+            with pytest.raises(NumericFailure, match="non-finite entries"):
+                kernels._chol_in_place(build, JITTER_LADDER)
+            assert len(builds) == rung + 1
 
     @pytest.mark.parametrize("case", ["first_rung", "after_a_failed_rung"])
     def test_jittered_rung_bitwise_scipy(self, case):
