@@ -13,7 +13,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from .data import Rect, check_labels
-from .gp import FitConfig, NumericFailure, correlation_matrix, fit, predict_arrays
+from .gp import (
+    FitConfig, NumericFailure, _positive_finite, correlation_matrix, fit, predict_arrays,
+)
 from .io import (
     SETTING_PARSERS,
     RunConfig,
@@ -235,7 +237,7 @@ def _cmd_correlations(args):
 
 
 def _comma_floats(raw, n, what):
-    vals = [float(v) for v in raw.split(",")]
+    vals = [_positive_finite(what, float(v)) for v in raw.split(",")]
     if len(vals) == 1:
         vals = vals * n
     if len(vals) != n:

@@ -164,10 +164,11 @@ class _Problem:
     so its results are bitwise those of that reference."""
 
     def __init__(self, dataset: Dataset, mode: KernelMode):
-        self.mode = mode
         self.n_tasks = n = dataset.n_tasks
         self.n_ls = mode.n_lengthscales(n)
         self.tasks = t = dataset.task_index
+        # each row's length-scale: its task's, or under ICM the one shared
+        self.ls_index = t if mode is KernelMode.CONVOLVED else np.zeros_like(t)
         self.y = dataset.values  # finite: Observation refuses any other value
         self.m = len(self.y)
         # task-pair code t_p·n + t_q of every entry, in the narrowest
@@ -184,7 +185,7 @@ class _Problem:
             _check_theta(theta_vec)
             L, ls, noise = _unpack(theta_vec, self.n_tasks, self.n_ls, NOISE_FLOOR)
             Kce = (L @ L.T).take(self.pair)  # Kc[t_p, t_q] for every entry
-            S, dS = _joint_cov(self.layout, self.blocks, None, ls, self.mode, dl=True)
+            S, dS = _joint_cov(self.layout, self.blocks, None, ls, dl=True)
             diag = noise[self.tasks]
             def build():
                 K = Kce * S
@@ -221,14 +222,11 @@ class _Problem:
             self.pair.reshape(-1), weights=WX.reshape(-1), minlength=n * n
         ).reshape(n, n)
 
-        # Length-scales (ICM: dS/dl; CONVOLVED: ∂S/∂l of each entry's row task)
+        # Length-scales: row sums of W∘Kce∘∂S/∂l_i (W, K symmetric: a row counts
+        # its column's share), binned by each row's length-scale
         np.multiply(W, Kce, out=WX)
         WX *= dS
-        if self.mode is KernelMode.ICM:
-            g_ls = np.array([0.5 * np.sum(WX) * ls[0]])
-        else:
-            row = np.sum(WX, axis=1)
-            g_ls = np.bincount(t, weights=row, minlength=n) * ls
+        g_ls = np.bincount(self.ls_index, weights=np.sum(WX, axis=1), minlength=self.n_ls) * ls
 
         # Noise variances
         g_noise = 0.5 * np.bincount(t, weights=W.reshape(-1)[:: self.m + 1], minlength=n)
@@ -306,8 +304,7 @@ class _KroneckerProblem:
             L, ls, noise = _unpack(theta_vec, self.n_tasks, 1, NOISE_FLOOR)  # ICM: one l
             Kc = L @ L.T
             Ks, dKs = np.empty((2, self.m, self.m))  # the one-task table
-            cross_cov_table(self.r, (0,), None, ls, KernelMode.ICM, Ks[None, None],
-                            dKs[None, None])
+            cross_cov_table(self.r, (0,), None, ls, Ks[None, None], dKs[None, None])
             s, V = _eigh(Ks)
             d, w, lam, U, G = _whitened_eigh(Kc, noise, s)
         except (NumericFailure, np.linalg.LinAlgError):
@@ -329,11 +326,11 @@ class _KroneckerProblem:
         # Task factor: A = α Ks αᵀ − P diag(G⁻¹s) Pᵀ
         A = _dot(_dot(alpha, Ks), alpha.T)
         A -= (P * (Ginv @ s)) @ P.T
-        # Length-scale: ½ Σ (αᵀKcα − V diag(ΛG⁻¹) Vᵀ) ∘ dKs · l
+        # Length-scale: Σ (αᵀKcα − V diag(ΛG⁻¹) Vᵀ) ∘ dKs · l, dKs = ∂k/∂l_i = ½ dk/dl
         B = _dot(alpha.T, _dot(Kc, alpha))
         B -= _dot(V * (lam @ Ginv), V.T)
         B *= dKs
-        g_ls = np.array([0.5 * np.sum(B) * ls[0]])
+        g_ls = np.array([np.sum(B) * ls[0]])
         # Noise: ½ (Σ_p α_ip² − Σ_k P_ik² Σ_q G⁻¹_kq)
         g_noise = 0.5 * (np.sum(alpha**2, axis=1) - P**2 @ Ginv.sum(axis=1))
         return _pack_gradient(A, L, g_ls, g_noise, theta_vec)
@@ -517,7 +514,7 @@ def _build_model(norm_ds, stats, theta, restart_lmls) -> FittedModel:
     L, ls, noise = theta.unpack()
     t = norm_ds.task_index
     layout = _Layout(t, norm_ds.xy, theta.n_tasks)
-    Lf, jitter = _joint_chol(layout, L @ L.T, ls, theta.mode, noise[t], JITTER_LADDER)
+    Lf, jitter = _joint_chol(layout, L @ L.T, ls, noise[t], JITTER_LADDER)
     alpha, lml = _solve(Lf, norm_ds.values)
     Lf.flags.writeable = False
     alpha.flags.writeable = False
@@ -648,7 +645,7 @@ def predict_tasks(
         if not np.all(np.isfinite(r)):
             raise ValueError("query points lie too far from the training locations: "
                              "their distances overflow")
-        cross_cov_table(r, rows, Kc, ls, model.mode, table[:, :, :b])
+        cross_cov_table(r, rows, Kc, ls, table[:, :, :b])
         q = _aligned(k * b)
         np.take(table.reshape(k, -1), index[:b], axis=1,
                 out=Ks[: k * b].reshape(k, b, m), mode="clip")

@@ -4,12 +4,14 @@ Two joint-covariance constructions are supported for n correlated tasks
 observed at planar locations:
 
 * ``ICM`` — intrinsic coregionalization: a single shared Matérn 3/2
-  spatial kernel, scaled per task pair by a free-form task covariance
-  ``Kc = L @ L.T``. For homotopic, task-major-ordered data the joint
-  matrix is exactly the Kronecker product ``Kc ⊗ Ks``, and homotopic
-  ICM fits of two or more tasks run on that structure: the objective in
-  :mod:`soilgp.gp` eigendecomposes the noise-whitened ``Kc`` and ``Ks``
-  separately instead of factoring the joint matrix.
+  spatial kernel (``CONVOLVED`` below with every length-scale tied, as
+  the kernel table, which takes no mode, evaluates it), scaled per task
+  pair by a free-form task covariance ``Kc = L @ L.T``. For homotopic,
+  task-major-ordered data the joint matrix is exactly the Kronecker
+  product ``Kc ⊗ Ks``, and homotopic ICM fits of two or more tasks run
+  on that structure: the objective in :mod:`soilgp.gp` eigendecomposes
+  the noise-whitened ``Kc`` and ``Ks`` separately instead of factoring
+  the joint matrix.
 * ``CONVOLVED`` — each task keeps its own Matérn 3/2 length-scale and
   cross-task covariances take the closed form of the convolution of the
   per-task basis functions on a line, applied to planar distances. On a
@@ -37,6 +39,7 @@ the optimizer never needs box constraints.
 from __future__ import annotations
 
 import enum
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -238,7 +241,8 @@ class _Layout:
     kernel table. A row is a (task, point) pair; the table is taken over
     the U distinct points, ``locs`` (sorted), and each row has its
     location ``loc`` among them and its slot task·U + loc. Built once per
-    problem, model or draw."""
+    problem, model or draw, so its ValueError for locations whose
+    distances overflow covers them all."""
 
     def __init__(self, tasks, xy, n_tasks: int):
         self.tasks, self.n = tasks, n_tasks
@@ -250,6 +254,11 @@ class _Layout:
         first[:1] = True
         np.any(xs[1:] != xs[:-1], axis=1, out=first[1:])
         self.locs = xs[first]
+        if len(xs):  # cdist squares each offset: beyond ~1.3e154 m, inf
+            lo, hi = self.locs.min(axis=0).tolist(), self.locs.max(axis=0).tolist()
+            dx, dy = hi[0] - lo[0], hi[1] - lo[1]  # Python floats: inf, not a warning
+            if not math.isfinite(dx * dx + dy * dy):
+                raise ValueError("locations lie too far apart: their distances overflow")
         self.loc = np.empty(len(xy), dtype=np.intp)
         self.loc[self.order] = np.cumsum(first) - 1
         self.u = len(self.locs)
@@ -281,8 +290,7 @@ class _Layout:
             yield rows, idx, self.distances(s, s + block)
 
 
-def cross_cov_table(r, rows, task_cov_matrix, lengthscales, mode: KernelMode, out,
-                    dl_out=None):
+def cross_cov_table(r, rows, task_cov_matrix, lengthscales, out, dl_out=None):
     """Covariance of points with a set of locations, for every (row task,
     column task) pair, written into ``out``.
 
@@ -290,19 +298,20 @@ def cross_cov_table(r, rows, task_cov_matrix, lengthscales, mode: KernelMode, ou
     ``rows`` the row tasks; ``out`` is a k×n×B×U array (k = len(rows))
     whose block ``out[a, j]`` receives Kc[i, j] · k_ij(r) for the row task
     i = rows[a], or k_ij(r) when ``task_cov_matrix`` is None. ``dl_out``,
-    in the same layout, receives ∂k_ij/∂l_i (ICM: dk/dl). The value is
-    bitwise :func:`matern32` (ICM) or :func:`cross_matern32`, and the
-    derivative :func:`matern32_dl` or :func:`cross_matern32_dli`.
+    in the same layout, receives ∂k_ij/∂l_i of the row task, in both modes
+    (ICM's dk/dl is the row's plus the column's). The value is bitwise
+    :func:`cross_matern32`, and :func:`matern32` under ICM, and the
+    derivative :func:`cross_matern32_dli`.
 
-    Each task's length-scale (ICM: the one) takes one exponential over
-    ``r``, and the pair constants are computed at k×n. When every pair is on the
+    Each task's length-scale takes one exponential over ``r``, and the
+    pair constants are computed at k×n. When every pair is on the
     equal-length-scale switch (ICM, one task, or tied length-scales),
     every block is the one Matérn and the pair arithmetic is skipped.
     Gathered through a :class:`_Layout`, the table is the dense
     objective's spatial matrix and its derivative, the synthetic draw's
     joint covariance (see :func:`_joint_cov`) and the prediction core's
-    K*; for one task in ICM mode it is the eigen-path's spatial matrix
-    itself.
+    K*; for one task and one length-scale it is the eigen-path's spatial
+    matrix itself.
     """
     n = out.shape[1]
     rows = np.asarray(rows)
@@ -312,9 +321,8 @@ def cross_cov_table(r, rows, task_cov_matrix, lengthscales, mode: KernelMode, ou
         z = SQRT3 * r
         z /= ls[0]
         e = np.exp(-z)
-        if dl_out is not None:  # ICM: _matern32_dl; on the switch: half of it
-            w = 3.0 if mode is KernelMode.ICM else 1.5
-            np.divide(w * (r * r), ls[:1] ** 3, out=dl_out)
+        if dl_out is not None:  # on the switch: half of _matern32_dl
+            np.divide(1.5 * (r * r), ls[:1] ** 3, out=dl_out)
             dl_out *= e
         m = _matern32(z, e)
         if kc is None:
@@ -345,11 +353,10 @@ def cross_cov_table(r, rows, task_cov_matrix, lengthscales, mode: KernelMode, ou
     return out
 
 
-def _joint_cov(layout: _Layout, blocks, task_cov_matrix, lengthscales, mode: KernelMode,
-               dl: bool = False):
+def _joint_cov(layout: _Layout, blocks, task_cov_matrix, lengthscales, dl: bool = False):
     """The layout's M×M joint covariance (with ``task_cov_matrix`` None,
     its spatial correlation), and with ``dl`` also the spatial ∂/∂l_i of
-    each entry's row task (ICM: d/dl), as a list of M×M arrays. Each of
+    each entry's row task, as a list of M×M arrays. Each of
     ``blocks`` (from :meth:`_Layout.blocks`) fills one
     :func:`cross_cov_table` over its locations and gathers its rows from
     it. Without noise, the covariance is bitwise
@@ -362,7 +369,7 @@ def _joint_cov(layout: _Layout, blocks, task_cov_matrix, lengthscales, mode: Ker
         if tables is None:  # the first block is the largest
             tables = [np.empty((layout.n, layout.n) + r.shape) for _ in outs]
         b = len(r)
-        cross_cov_table(r, np.arange(layout.n), task_cov_matrix, lengthscales, mode,
+        cross_cov_table(r, np.arange(layout.n), task_cov_matrix, lengthscales,
                         *(t[:, :, :b] for t in tables))
         for o, t in zip(outs, tables):
             o[rows] = t.take(idx)
@@ -553,12 +560,12 @@ def _chol_in_place(build, ladder):
     )
 
 
-def _joint_chol(layout, task_cov_matrix, lengthscales, mode, diag, ladder):
+def _joint_chol(layout, task_cov_matrix, lengthscales, diag, ladder):
     """:func:`chol_with_jitter` of the layout's joint covariance plus ``diag``
     on its diagonal, in one M×M array: K is bitwise symmetric, so its
     transpose view is the Fortran-ordered K that LAPACK factors in place."""
     def build():
-        (K,) = _joint_cov(layout, layout.blocks(), task_cov_matrix, lengthscales, mode)
+        (K,) = _joint_cov(layout, layout.blocks(), task_cov_matrix, lengthscales)
         K.reshape(-1)[:: len(K) + 1] += diag
         return K.T
     return _chol_in_place(build, ladder)

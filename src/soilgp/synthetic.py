@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset, Location, Observation, _sample_ids, check_labels, make_dataset
 from .gp import HyperParams, _positive_finite, theta_from_moments
-from .kernels import KernelMode, _joint_chol, _Layout
+from .kernels import JITTER_LADDER, KernelMode, _joint_chol, _Layout
 from .mapping import GroundTruth
 
 __all__ = [
@@ -179,7 +179,7 @@ def draw_field(
         )
 
     layout = _Layout(all_tasks, all_xy, n)
-    Lf, _ = _joint_chol(layout, L_task @ L_task.T, ls, cfg.mode, 0.0, (1e-10, 1e-9, 1e-8))
+    Lf, _ = _joint_chol(layout, L_task @ L_task.T, ls, 0.0, JITTER_LADDER[1:])
     latent = Lf @ rng.standard_normal(len(all_tasks))
 
     noise_std = np.sqrt(np.asarray(cfg.noise_vars))

@@ -206,6 +206,27 @@ class TestNonFiniteInputs:
         assert "Warning" not in err
         assert not (out_dir / "map.csv").exists()
 
+    def test_fit_samples_whose_distances_overflow(self, capsys, tmp_path):
+        # the squared offset between x = 0 and x = 1e200 is inf
+        obs, out = tmp_path / "obs.csv", tmp_path / "model.txt"
+        obs.write_text("sample_id,x_m,y_m,task,value\nS01,0,0,pH,0.5\n"
+                       "S02,1e200,0,pH,-0.5\n")
+        code, _, err = run(capsys, "fit", "--obs", str(obs), "--out", str(out),
+                           "--restarts", "1", "--max-iters", "5")
+        assert code == EXIT_DATA
+        assert "distances overflow" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
+    def test_synth_plan_whose_distances_overflow(self, capsys, tmp_path):
+        plan, out = tmp_path / "plan.csv", tmp_path / "o.csv"
+        plan.write_text("sample_id,x_m,y_m\nS01,0,0\nS02,1e200,0\n")
+        code, _, err = run(capsys, "synth", "--out", str(out), "--plan", str(plan))
+        assert code == EXIT_DATA
+        assert "distances overflow" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
     def test_synth_extent_whose_distances_overflow(self, capsys, tmp_path):
         out = tmp_path / "o.csv"
         code, _, err = run(capsys, "synth", "--out", str(out), "--n-samples", "5",
@@ -509,7 +530,7 @@ class TestSynth:
         (("--corr", "pH,N=0.9", "--corr", "N,P=0.9", "--corr", "pH,P=-0.9"),
          "are not jointly valid"),
         (("--variances", "-1"), "variances must be positive and finite, got -1.0"),
-        (("--noise", "nan"), "noise_vars must be positive and finite, got nan"),
+        (("--noise", "nan"), "noise must be positive and finite, got nan"),
     ], ids=["self", "twice", "above_one", "nan_r", "not_jointly", "variance", "noise"])
     def test_generator_setting_refused(self, capsys, tmp_path, argv, message):
         out = tmp_path / "o.csv"

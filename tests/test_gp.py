@@ -44,7 +44,6 @@ from soilgp.kernels import (
     cross_matern32,
     cross_matern32_dli,
     matern32,
-    matern32_dl,
 )
 from soilgp.mapping import GridSpec, rmse
 from soilgp.synthetic import SyntheticField, draw_field, prior_theta
@@ -225,19 +224,16 @@ def dense_reference(theta, ds, noise_floor=gp_module.NOISE_FLOOR):
     lml = -0.5 * y @ alpha - np.log(np.diag(Lf)).sum() - 0.5 * len(y) * np.log(2.0 * np.pi)
 
     r = cdist(ds.xy, ds.xy)
-    if mode is KernelMode.ICM:
-        S, dS = matern32(r, ls[0]), matern32_dl(r, ls[0])
-    else:
-        li, lj = ls[t][:, None], ls[t][None, :]
-        S, dS = cross_matern32(r, li, lj), cross_matern32_dli(r, li, lj)
+    # each row's length-scale: its task's, or under ICM the one shared
+    ls_index = t if mode is KernelMode.CONVOLVED else np.zeros_like(t)
+    li, lj = ls[ls_index][:, None], ls[ls_index][None, :]
+    S = matern32(r, ls[0]) if mode is KernelMode.ICM else cross_matern32(r, li, lj)
+    dS = cross_matern32_dli(r, li, lj)  # ∂k/∂l_i of the row task
     W = np.outer(alpha, alpha) - cho_solve((Lf, True), np.eye(len(y)))
     pair = t[:, None] * n + t[None, :]
     A = np.bincount(pair.ravel(), weights=(W * S).ravel(), minlength=n * n).reshape(n, n)
     WdS = W * Kc[np.ix_(t, t)] * dS
-    if mode is KernelMode.ICM:
-        g_ls = np.array([0.5 * np.sum(WdS) * ls[0]])
-    else:
-        g_ls = np.bincount(t, weights=np.sum(WdS, axis=1), minlength=n) * ls
+    g_ls = np.bincount(ls_index, weights=np.sum(WdS, axis=1), minlength=len(ls)) * ls
     g_noise = 0.5 * np.bincount(t, weights=np.diag(W), minlength=n)
     rows, cols = np.tril_indices(n)
     g_chol = (A @ L)[rows, cols]

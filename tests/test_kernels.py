@@ -342,15 +342,32 @@ class TestTrainingKernel:
         r = cdist(xy, xy)
         layout = _Layout(tasks, xy, 3)
         blocks = list(layout.blocks(2))
-        value_table, dl_table = _joint_cov(layout, blocks, None, ls, mode, dl=True)
-        if mode is KernelMode.ICM:
-            value, dl = matern32(r, ls[0]), matern32_dl(r, ls[0])
-        else:
-            li, lj = ls[tasks][:, None], ls[tasks][None, :]
-            value, dl = cross_matern32(r, li, lj), cross_matern32_dli(r, li, lj)
+        value_table, dl_table = _joint_cov(layout, blocks, None, ls, dl=True)
+        # ∂k_ij/∂l_i of the row task in both modes: each row's length-scale
+        # is its task's, or under ICM the one shared
+        ls_index = tasks if mode is KernelMode.CONVOLVED else np.zeros_like(tasks)
+        li, lj = ls[ls_index][:, None], ls[ls_index][None, :]
+        value = matern32(r, ls[0]) if mode is KernelMode.ICM else cross_matern32(r, li, lj)
         assert np.array_equal(value_table, value)
-        assert np.array_equal(dl_table, dl)
+        assert np.array_equal(dl_table, cross_matern32_dli(r, li, lj))
         return len(blocks)
+
+    @pytest.mark.parametrize("l", [23.0, ULP_LENGTHSCALE], ids=["plain", "ulp"])
+    def test_one_task_bitwise(self, l):
+        # the eigen-path's call, one task written into Ks[None, None] and
+        # dKs[None, None], and a one-task CONVOLVED layout through the
+        # dense objective's route
+        rng = np.random.default_rng(9)
+        _, xy = random_layout(rng, 40, 1)
+        r = cdist(xy, xy)
+        Ks, dKs = np.empty((2, 40, 40))
+        cross_cov_table(r, (0,), None, [l], Ks[None, None], dKs[None, None])
+        assert np.array_equal(Ks, matern32(r, l))
+        assert np.array_equal(dKs, cross_matern32_dli(r, l, l))
+        layout = _Layout(np.zeros(40, dtype=np.intp), xy, 1)
+        value, dl = _joint_cov(layout, layout.blocks(2), None, np.array([l]), dl=True)
+        assert np.array_equal(value, cross_matern32(r, l, l))
+        assert np.array_equal(dl, cross_matern32_dli(r, l, l))
 
     def test_scalar_derivatives_are_floats(self):
         assert isinstance(matern32_dl(5.0, 12.0), float)
@@ -428,7 +445,7 @@ class TestAssembleCrossCov:
         rows = (2, 0, 1)
         layout = _Layout(tasks, locs[loc], 3)
         table = np.empty((3, 3, 11, 7))
-        cross_cov_table(cdist(q_xy, layout.locs), rows, Kc, ls, mode, table)
+        cross_cov_table(cdist(q_xy, layout.locs), rows, Kc, ls, table)
         gathered = np.take(
             table.reshape(3, -1), layout.index(0, np.arange(11)[:, None], 11), axis=1
         )
@@ -534,8 +551,8 @@ class TestCholWithJitter:
             return outs
 
         monkeypatch.setattr(kernels, "_joint_cov", spy)
-        L, jitter = _joint_chol(self.one_location([0] * 5), np.ones((1, 1)), [10.0],
-                                KernelMode.ICM, 0.0, (0.0, 1e-9))
+        L, jitter = _joint_chol(self.one_location([0] * 5), np.ones((1, 1)), [10.0], 0.0,
+                                (0.0, 1e-9))
         assert jitter == 1e-9
         assert len(built) == 2
         assert np.array_equal(L, cholesky(np.ones((5, 5)) + 1e-9 * np.eye(5), lower=True))
@@ -544,5 +561,5 @@ class TestCholWithJitter:
                              ids=["indefinite", "non_finite"])
     def test_joint_factor_refuses(self, kc):
         with pytest.raises(NumericFailure):
-            _joint_chol(self.one_location([0, 1]), np.array(kc), [10.0], KernelMode.ICM,
-                        0.0, JITTER_LADDER)
+            _joint_chol(self.one_location([0, 1]), np.array(kc), [10.0], 0.0,
+                        JITTER_LADDER)
