@@ -254,11 +254,10 @@ class _Layout:
         first[:1] = True
         np.any(xs[1:] != xs[:-1], axis=1, out=first[1:])
         self.locs = xs[first]
-        if len(xs):  # cdist squares each offset: beyond ~1.3e154 m, inf
-            lo, hi = self.locs.min(axis=0).tolist(), self.locs.max(axis=0).tolist()
-            dx, dy = hi[0] - lo[0], hi[1] - lo[1]  # Python floats: inf, not a warning
-            if not math.isfinite(dx * dx + dy * dy):
-                raise ValueError("locations lie too far apart: their distances overflow")
+        lo, hi = self.locs.min(axis=0).tolist(), self.locs.max(axis=0).tolist()
+        dx, dy = hi[0] - lo[0], hi[1] - lo[1]  # Python floats: inf, not a warning
+        if not math.isfinite(dx * dx + dy * dy):  # cdist squares offsets: inf past ~1e154
+            raise ValueError("locations lie too far apart: their distances overflow")
         self.loc = np.empty(len(xy), dtype=np.intp)
         self.loc[self.order] = np.cumsum(first) - 1
         self.u = len(self.locs)
