@@ -236,8 +236,15 @@ def _cmd_correlations(args):
     return EXIT_OK
 
 
+def _number(what, raw):
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{what} must be a number, got {raw!r}") from None
+
+
 def _comma_floats(raw, n, what):
-    vals = [_positive_finite(what, float(v)) for v in raw.split(",")]
+    vals = [_positive_finite(what, _number(what, v)) for v in raw.split(",")]
     if len(vals) == 1:
         vals = vals * n
     if len(vals) != n:
@@ -276,7 +283,7 @@ def _cmd_synth(args):
             a, b = a.strip(), b.strip()
             if a not in labels or b not in labels or not rv:
                 raise ValueError(f"bad --corr {spec!r} (expected LABEL,LABEL=r)")
-            correlations.append((labels.index(a), labels.index(b), float(rv)))
+            correlations.append((labels.index(a), labels.index(b), _number("corr", rv)))
 
     cfg = SyntheticField(
         labels=labels,

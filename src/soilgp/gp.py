@@ -20,8 +20,6 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky as scipy_cholesky, solve_triangular  # noqa: F401
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrs, dsyevd
-from scipy.optimize import minimize
-from scipy.spatial.distance import cdist
 
 from .data import Dataset, NormStats, Observation, make_dataset, normalize
 from .kernels import (
@@ -33,6 +31,7 @@ from .kernels import (
     _joint_chol,
     _joint_cov,
     _Layout,
+    _cdist as cdist,  # under scipy's name, which bench/tracing.py patches here
     _tril_slots,
     _unpack,
     cross_cov_table,
@@ -450,6 +449,14 @@ def _data_extent(dataset: Dataset) -> float:
     return extent if extent > 0 else 1.0
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first fit: a command that
+    only predicts never loads scipy's optimizer (about 21 MB resident)."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
+
+
 def _optimize(prob, config: FitConfig, x0: np.ndarray):
     def objective(x):
         lml, state = prob.value(x)
@@ -640,8 +647,8 @@ def predict_tasks(
         if not np.all(np.isfinite(xy[s:e])):
             raise ValueError("query coordinates must be finite")
         r = cdist(xy[s:e], layout.locs)
-        # cdist squares each offset, so one beyond ~1.3e154 m gives r = inf,
-        # and the Matérn there (1 + z)·e^(−z) = inf·0, a NaN
+        # kernels._cdist squares each offset, so one beyond ~1.3e154 m gives
+        # r = inf, and the Matérn there (1 + z)·e^(−z) = inf·0, a NaN
         if not np.all(np.isfinite(r)):
             raise ValueError("query points lie too far from the training locations: "
                              "their distances overflow")

@@ -44,7 +44,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "KernelMode",
@@ -230,6 +229,20 @@ def cross_matern32_dli(r, l_i, l_j):
     return out if out.ndim else float(out)
 
 
+def _cdist(a, b):
+    """Distances between the rows of two (·, 2) point arrays: scipy's
+    ``cdist(a, b)``, bitwise, without importing scipy.spatial. An offset
+    beyond ~1.3e154 squares to inf, silently, as in cdist."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(over="ignore"):
+        r = np.subtract.outer(a[:, 0], b[:, 0])
+        r *= r
+        dy = np.subtract.outer(a[:, 1], b[:, 1])
+        dy *= dy
+        r += dy
+    return np.sqrt(r, out=r)
+
+
 # Byte budget for one row block's temporaries in :func:`_joint_cov`: the
 # kernel tables of the block's locations and the joint rows gathered from
 # them.
@@ -256,7 +269,7 @@ class _Layout:
         self.locs = xs[first]
         lo, hi = self.locs.min(axis=0).tolist(), self.locs.max(axis=0).tolist()
         dx, dy = hi[0] - lo[0], hi[1] - lo[1]  # Python floats: inf, not a warning
-        if not math.isfinite(dx * dx + dy * dy):  # cdist squares offsets: inf past ~1e154
+        if not math.isfinite(dx * dx + dy * dy):  # _cdist squares offsets: inf past ~1e154
             raise ValueError("locations lie too far apart: their distances overflow")
         self.loc = np.empty(len(xy), dtype=np.intp)
         self.loc[self.order] = np.cumsum(first) - 1
@@ -265,7 +278,7 @@ class _Layout:
 
     def distances(self, s=0, e=None):
         """Distances from the locations s to e to every location."""
-        return cdist(self.locs[s:e], self.locs)
+        return _cdist(self.locs[s:e], self.locs)
 
     def index(self, a, b, block: int):
         """Flat index of each row's entry in a :func:`cross_cov_table` of
@@ -502,7 +515,7 @@ def assemble_training_cov(
     noise = np.asarray(noise_vars, dtype=float)
     if noise.shape != (n,):
         raise ValueError(f"expected {n} noise variances, got {noise.shape}")
-    r = cdist(xy, xy)
+    r = _cdist(xy, xy)
     K = task_cov_matrix[np.ix_(tasks, tasks)] * _spatial_block(
         r, tasks, tasks, lengthscales, mode
     )

@@ -531,7 +531,11 @@ class TestSynth:
          "are not jointly valid"),
         (("--variances", "-1"), "variances must be positive and finite, got -1.0"),
         (("--noise", "nan"), "noise must be positive and finite, got nan"),
-    ], ids=["self", "twice", "above_one", "nan_r", "not_jointly", "variance", "noise"])
+        (("--noise", "abc"), "noise must be a number, got 'abc'"),
+        (("--variances", "1,x,1,1"), "variances must be a number, got 'x'"),
+        (("--corr", "pH,N=abc"), "corr must be a number, got 'abc'"),
+    ], ids=["self", "twice", "above_one", "nan_r", "not_jointly", "variance", "noise",
+            "noise_not_number", "variance_not_number", "corr_not_number"])
     def test_generator_setting_refused(self, capsys, tmp_path, argv, message):
         out = tmp_path / "o.csv"
         code, _, err = run(capsys, "synth", "--out", str(out), *argv)
@@ -683,3 +687,40 @@ class TestConfigFile:
         assert code == EXIT_OK
         asc = (tmp_path / "maps" / "map_pH_mean.asc").read_text().splitlines()
         assert asc[:2] == ["ncols 5", "nrows 4"]
+
+
+# Run in a fresh interpreter: what a command loads, step by step.
+_IMPORT_PROBE = """
+import sys, tempfile
+import soilgp, soilgp.cli
+from soilgp import gp, io, synthetic
+from soilgp.mapping import GridSpec, predict_map
+
+def loaded():
+    print(sorted(m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules))
+
+loaded()
+field = synthetic.SyntheticField(n_samples=6, width=40.0, height=30.0)
+dataset, _ = synthetic.draw_field(field, 1)
+model = gp.condition(dataset, synthetic.prior_theta(field))
+maps = predict_map(model, GridSpec(dataset.field_bounds, 10.0))
+with tempfile.TemporaryDirectory() as d:
+    io.write_maps(d, "m", maps)
+loaded()
+gp.fit(dataset, gp.FitConfig(restarts=1, max_iters=5))
+loaded()
+"""
+
+
+def test_only_fitting_loads_the_optimizer():
+    """Importing the package and the CLI, conditioning, mapping and writing
+    the maps load neither scipy.optimize nor scipy.spatial (about 21 MB
+    resident together); the first fit loads scipy.optimize."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    after_import, after_map, after_fit = done.stdout.splitlines()
+    assert after_import == after_map == "[]"
+    assert "'scipy.optimize'" in after_fit

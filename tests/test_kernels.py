@@ -1,3 +1,4 @@
+import warnings
 import weakref
 
 import numpy as np
@@ -389,6 +390,34 @@ class TestLayout:
         locs, loc = np.unique(xy, axis=0, return_inverse=True)
         assert np.array_equal(layout.locs, locs)
         assert np.array_equal(layout.loc, loc.ravel())
+
+
+class TestDistances:
+    """kernels._cdist, every distance the package takes, against scipy's cdist."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e10, 1e50, 1e150])
+    def test_bitwise_scipy_cdist(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 10)
+        a = rng.uniform(-scale, scale, (301, 2)) + rng.uniform(-1e3, 1e3)
+        b = rng.uniform(-scale, scale, (207, 2))
+        np.testing.assert_array_equal(kernels._cdist(a, b), cdist(a, b))
+
+    def test_integer_points(self):
+        # a Dataset built from integer Locations holds an int64 xy
+        rng = np.random.default_rng(4)
+        a, b = rng.integers(-1000, 1000, (53, 2)), rng.integers(-1000, 1000, (31, 2))
+        got = kernels._cdist(a, b)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, cdist(a, b))
+
+    def test_overflowing_offsets_give_inf_silently(self):
+        a = np.array([[0.0, 0.0], [-1e308, 1e308], [1.0, 2.0]])
+        b = np.array([[2e154, 0.0], [0.0, -1.4e154], [1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels._cdist(a, b)
+        assert np.isposinf(got).all()
+        np.testing.assert_array_equal(got, cdist(a, b))
 
 
 @pytest.mark.xfail(
