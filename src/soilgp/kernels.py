@@ -30,6 +30,8 @@ prediction's cross-covariance. A :class:`_Layout` gathers each row's
 entries from it through the row's (task, location) slot.
 :func:`matern32`, :func:`cross_matern32` and their derivatives write the
 pair formula out per entry; they are the table's bitwise references.
+Distances come from :func:`_cdist`, scipy's ``cdist`` bitwise in numpy
+alone, so of scipy this module loads only LAPACK.
 
 All hyperparameters live in one packed unconstrained vector (see
 :func:`pack_theta`); positivity is enforced by log-parameterization, so

@@ -30,7 +30,7 @@ __all__ = [
 
 # Largest joint draw, in (samples + truth points) × tasks: the draw holds one
 # such square, the joint covariance factored in place, and a 3,600-point
-# draw peaked at 191 MB resident, 78 MB of it the imports (2 vCPU Xeon).
+# draw peaked at 171 MB resident, 57 MB of it the imports (2 vCPU Xeon).
 MAX_DRAW_POINTS = 3600
 
 
