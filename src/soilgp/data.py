@@ -62,8 +62,8 @@ def _sample_ids(count: int) -> list[str]:
     return [f"S{j:0{max(2, len(str(count)))}d}" for j in range(1, count + 1)]
 
 
-# The task-label rule of observation files, which io.parse_observations
-# reads them by and check_labels applies to a whole set.
+# The task-label rule of observation files: check_labels applies it to a
+# whole set, for make_dataset and for io.parse_observations as it reads.
 MAX_TASK_LABELS = 16
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
@@ -172,7 +172,8 @@ def make_dataset(
 ) -> Dataset:
     """Validate observations and freeze them into a :class:`Dataset`.
 
-    Raises ValueError on an empty list, a task index outside
+    Raises ValueError on an empty list, labels that break the observation
+    file's label rule (:func:`check_labels`), a task index outside
     ``[0, n_tasks)``, or non-finite values (caught at Observation
     construction).
     """
@@ -185,8 +186,7 @@ def make_dataset(
     labels = tuple(labels)
     if len(labels) != n_tasks:
         raise ValueError(f"expected {n_tasks} labels, got {len(labels)}")
-    if len(set(labels)) != n_tasks:
-        raise ValueError("task labels must be unique")
+    check_labels(labels)  # the rule the observation file is read by
     for o in observations:
         if not 0 <= o.task < n_tasks:
             raise ValueError(
@@ -215,10 +215,6 @@ class NormStats:
             raise ValueError("stds must be positive")
         _frozen(self.means)
         _frozen(self.stds)
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.means)
 
 
 def normalize(dataset: Dataset) -> tuple[Dataset, NormStats]:

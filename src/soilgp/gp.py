@@ -36,7 +36,6 @@ from .kernels import (
     _unpack,
     cross_cov_table,
     pack_theta,
-    theta_dim,
     unpack_theta,
 )
 
@@ -77,11 +76,7 @@ class HyperParams:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)  # own copy; frozen below
-        if v.shape != (theta_dim(self.n_tasks, self.mode),):
-            raise ValueError(
-                f"theta dimension mismatch: {v.shape} for n_tasks={self.n_tasks}, "
-                f"mode={self.mode.value}"
-            )
+        unpack_theta(v, self.n_tasks, self.mode)  # ValueError on a dimension mismatch
         if not np.all(np.isfinite(v)):
             raise ValueError("theta entries must be finite")
         object.__setattr__(self, "values", v)
@@ -108,6 +103,8 @@ class FitConfig:
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
         _positive_finite("tol", self.tol)
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _positive_finite(name: str, v):
@@ -239,9 +236,10 @@ class _Problem:
 _THETA_CAP = 250.0
 
 
-def _check_theta(theta_vec):
+def _check_theta(theta_vec, error=NumericFailure):
     if not (np.abs(theta_vec) <= _THETA_CAP).all():  # also false for NaN and ±inf
-        raise NumericFailure("hyperparameter vector out of numeric range")
+        raise error(f"hyperparameter vector out of numeric range: an entry lies "
+                    f"beyond ±{_THETA_CAP:g}")
 
 
 def _solve(Lf, y):
@@ -475,6 +473,13 @@ def _optimize(prob, config: FitConfig, x0: np.ndarray):
     return res.x, final_lml
 
 
+def _check_observed(dataset: Dataset):
+    counts = dataset.counts_per_task()
+    if np.any(counts == 0):
+        missing = [dataset.labels[i] for i in np.flatnonzero(counts == 0)]
+        raise ValueError(f"every task needs at least one observation; missing {missing}")
+
+
 def fit(dataset: Dataset, config: FitConfig) -> FittedModel:
     """Maximum-marginal-likelihood fit with seeded multi-start.
 
@@ -482,10 +487,7 @@ def fit(dataset: Dataset, config: FitConfig) -> FittedModel:
     one seeded generator and the best restart is chosen by strict
     maximum (earliest restart wins ties).
     """
-    counts = dataset.counts_per_task()
-    if np.any(counts == 0):
-        missing = [dataset.labels[i] for i in np.flatnonzero(counts == 0)]
-        raise ValueError(f"every task needs at least one observation; missing {missing}")
+    _check_observed(dataset)
     norm_ds, stats = normalize(dataset)
     prob = _objective(norm_ds, config.mode)
     extent = _data_extent(norm_ds)
@@ -612,7 +614,7 @@ def predict_tasks(
     variances Kc_ii − vᵀv.
 
     Raises ValueError for a point that is not finite, or whose distance to
-    a training location overflows.
+    a training location overflows: :func:`kernels._cdist` refuses it.
     """
     n = model.n_tasks
     rows = np.array([int(i) for i in tasks], dtype=np.intp)
@@ -644,14 +646,7 @@ def predict_tasks(
     for s in range(0, p, block):
         e = min(s + block, p)
         b = e - s
-        if not np.all(np.isfinite(xy[s:e])):
-            raise ValueError("query coordinates must be finite")
-        r = cdist(xy[s:e], layout.locs)
-        # kernels._cdist squares each offset, so one beyond ~1.3e154 m gives
-        # r = inf, and the Matérn there (1 + z)·e^(−z) = inf·0, a NaN
-        if not np.all(np.isfinite(r)):
-            raise ValueError("query points lie too far from the training locations: "
-                             "their distances overflow")
+        r = cdist(xy[s:e], layout.locs)  # ValueError unless every distance is finite
         cross_cov_table(r, rows, Kc, ls, table[:, :, :b])
         q = _aligned(k * b)
         np.take(table.reshape(k, -1), index[:b], axis=1,
@@ -699,6 +694,7 @@ def fit_stgp(dataset: Dataset, config: FitConfig) -> list[FittedModel]:
     Each model sees only its own task's observations, re-indexed to a
     one-task dataset, so other tasks cannot influence it.
     """
+    _check_observed(dataset)
     models = []
     for i in range(dataset.n_tasks):
         obs = tuple(
@@ -706,10 +702,6 @@ def fit_stgp(dataset: Dataset, config: FitConfig) -> list[FittedModel]:
             for o in dataset.observations
             if o.task == i
         )
-        if not obs:
-            raise ValueError(
-                f"every task needs at least one observation; missing {dataset.labels[i]!r}"
-            )
         sub = make_dataset(obs, 1, (dataset.labels[i],))
         models.append(fit(sub, config))
     return models

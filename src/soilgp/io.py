@@ -19,16 +19,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .data import (
-    _LABEL_RE,
-    MAX_TASK_LABELS,
-    Dataset,
-    Location,
-    Observation,
-    _sample_ids,
-    make_dataset,
-)
-from .gp import FitConfig, FittedModel, HyperParams, condition
+from .data import Dataset, Location, Observation, _sample_ids, check_labels, make_dataset
+from .gp import FitConfig, FittedModel, HyperParams, _check_theta, condition
 from .kernels import NOISE_FLOOR, KernelMode
 from .mapping import GroundTruth, GridSpec, PropertyMap, RmseCurves, CorrelationTrajectory
 from .mission import FieldBoundary
@@ -144,15 +136,10 @@ def parse_observations(path) -> Dataset:
         x = _parse_float(xs, row_num, "x_m")
         y = _parse_float(ys, row_num, "y_m")
         value = _parse_float(vs, row_num, "value")
-        if not _LABEL_RE.match(label):
-            raise ValueError(f"row {row_num}: invalid task label {label!r}")
-        if label not in labels:
-            if len(labels) >= MAX_TASK_LABELS:
-                raise ValueError(
-                    f"row {row_num}: more than {MAX_TASK_LABELS} task labels"
-                )
-            labels.append(label)
         try:
+            if label not in labels:
+                check_labels(labels + [label])
+                labels.append(label)
             observations.append(
                 Observation(sid, Location(x, y), labels.index(label), value)
             )
@@ -291,11 +278,16 @@ def read_model(path) -> ModelRecord:
     def floats(raw):
         return np.array([float(v) for v in raw.split()])
 
+    def theta(raw):
+        params = HyperParams(floats(raw), n_tasks, mode)
+        _check_theta(params.values, ValueError)  # the optimizer's bound: no fit leaves it
+        return params
+
     n_tasks = field("n_tasks", int)
     mode = field("mode", KernelMode.parse)
     record = ModelRecord(
         labels=tuple(field("labels").split(",")),
-        theta=field("theta", lambda raw: HyperParams(floats(raw), n_tasks, mode)),
+        theta=field("theta", theta),
         norm_means=field("norm_means", floats),
         norm_stds=field("norm_stds", floats),
         data_digest=field("data_digest"),

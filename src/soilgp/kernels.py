@@ -31,7 +31,9 @@ entries from it through the row's (task, location) slot.
 :func:`matern32`, :func:`cross_matern32` and their derivatives write the
 pair formula out per entry; they are the table's bitwise references.
 Distances come from :func:`_cdist`, scipy's ``cdist`` bitwise in numpy
-alone, so of scipy this module loads only LAPACK.
+alone, so of scipy this module loads only LAPACK. It is the one place
+that refuses points whose distances are not finite: every training,
+plan and query point reaches the kernel table through it.
 
 All hyperparameters live in one packed unconstrained vector (see
 :func:`pack_theta`); positivity is enforced by log-parameterization, so
@@ -41,7 +43,6 @@ the optimizer never needs box constraints.
 from __future__ import annotations
 
 import enum
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -233,15 +234,19 @@ def cross_matern32_dli(r, l_i, l_j):
 
 def _cdist(a, b):
     """Distances between the rows of two (·, 2) point arrays: scipy's
-    ``cdist(a, b)``, bitwise, without importing scipy.spatial. An offset
-    beyond ~1.3e154 squares to inf, silently, as in cdist."""
+    ``cdist(a, b)``, bitwise, without importing scipy.spatial. Raises
+    ValueError, with no warning, when a distance is not finite: a point
+    is NaN or infinite, or an offset beyond ~1.3e154 squares to inf."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         r = np.subtract.outer(a[:, 0], b[:, 0])
         r *= r
         dy = np.subtract.outer(a[:, 1], b[:, 1])
         dy *= dy
         r += dy
+    if not np.isfinite(r.max(initial=0.0)):  # also false for NaN
+        raise ValueError("points must be finite, and not so far apart that their "
+                         "distances overflow")
     return np.sqrt(r, out=r)
 
 
@@ -256,8 +261,8 @@ class _Layout:
     kernel table. A row is a (task, point) pair; the table is taken over
     the U distinct points, ``locs`` (sorted), and each row has its
     location ``loc`` among them and its slot task·U + loc. Built once per
-    problem, model or draw, so its ValueError for locations whose
-    distances overflow covers them all."""
+    problem, model or draw; locations whose distances overflow are
+    refused by :func:`_cdist` when their distances are first taken."""
 
     def __init__(self, tasks, xy, n_tasks: int):
         self.tasks, self.n = tasks, n_tasks
@@ -269,10 +274,6 @@ class _Layout:
         first[:1] = True
         np.any(xs[1:] != xs[:-1], axis=1, out=first[1:])
         self.locs = xs[first]
-        lo, hi = self.locs.min(axis=0).tolist(), self.locs.max(axis=0).tolist()
-        dx, dy = hi[0] - lo[0], hi[1] - lo[1]  # Python floats: inf, not a warning
-        if not math.isfinite(dx * dx + dy * dy):  # _cdist squares offsets: inf past ~1e154
-            raise ValueError("locations lie too far apart: their distances overflow")
         self.loc = np.empty(len(xy), dtype=np.intp)
         self.loc[self.order] = np.cumsum(first) - 1
         self.u = len(self.locs)

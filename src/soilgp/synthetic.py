@@ -70,7 +70,7 @@ class SyntheticField:
             for v in np.atleast_1d(getattr(self, name)).tolist():
                 _positive_finite(name, v)
         w, h = float(self.width), float(self.height)
-        if not math.isfinite(w * w + h * h):  # kernels._cdist squares the offsets
+        if not math.isfinite(w * w + h * h):  # what kernels._cdist refuses, before a draw
             raise ValueError(f"width {w!r} and height {h!r}: distances across the "
                              "field overflow")
         if self.n_samples < 1:

@@ -183,15 +183,33 @@ class TestNonFiniteInputs:
         assert code == EXIT_DATA
         assert "theta dimension mismatch" in err
 
-    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf")])
+    @pytest.mark.parametrize("flag, value",
+                             [("--tol", "nan"), ("--tol", "inf"), ("--seed", "-1")])
     def test_fit_setting(self, capsys, tmp_path, fitted, flag, value):
         obs, _ = fitted
         out = tmp_path / "model.txt"
         code, _, err = run(capsys, "fit", "--obs", str(obs), "--out", str(out),
                            "--restarts", "1", "--max-iters", "5", flag, value)
         assert code == EXIT_DATA
-        assert f"{flag[2:].replace('-', '_')} must be positive and finite" in err
+        assert {"--tol": "tol must be positive and finite",
+                "--seed": "seed must be a non-negative integer, got -1"}[flag] in err
         assert not out.exists()
+
+    def test_correlations_model_theta_beyond_bound(self, capsys, tmp_path, fitted):
+        # exp(-400) underflows the first task's factor diagonal to 0: the
+        # correlations were 0/0, written as inf after RuntimeWarnings
+        obs, model = fitted
+        bad = with_field(model, tmp_path, "theta", lambda v: ["-400"] + v[1:])
+        code, _, err = run(capsys, "correlations", "--model", str(bad),
+                           "--out", str(tmp_path / "corr.csv"))
+        assert code == EXIT_DATA
+        assert "model file field theta: hyperparameter vector out of numeric range" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "corr.csv").exists()
+        code, _, err = run(capsys, "map", "--model", str(bad), "--obs", str(obs),
+                           "--out-dir", str(tmp_path / "maps"))
+        assert code == EXIT_DATA
+        assert "model file field theta" in err
 
     def test_map_points_whose_distances_overflow(self, capsys, tmp_path, fitted):
         # 100 x 100 cells: every cell's distance to the samples squares to inf
@@ -666,6 +684,16 @@ class TestConfigFile:
                               "--max-iters", "30", "--seed", "0", name="z.txt")
         assert overridden == flags_only
         assert from_file != flags_only  # the seed matters, so the test can fail
+
+    def test_setting_checked_from_file(self, capsys, tmp_path, fitted):
+        obs, _ = fitted
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        code, _, err = run(capsys, "fit", "--obs", str(obs), "--out",
+                           str(tmp_path / "m.txt"), "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert "seed must be a non-negative integer, got -1" in err
+        assert not (tmp_path / "m.txt").exists()
 
     def test_noise_floor_key_refused(self, capsys, tmp_path, fitted):
         obs, _ = fitted

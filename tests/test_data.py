@@ -60,6 +60,16 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="unique"):
             make_dataset([obs_at("S01", 0, 0, 0, 1.0)], 2, ("N", "N"))
 
+    @pytest.mark.parametrize("labels, message", [
+        (("p H",), "invalid task label 'p H'"),
+        (tuple(f"T{i}" for i in range(17)), "more than 16 task labels"),
+    ], ids=["space", "seventeen"])
+    def test_labels_follow_the_observation_file_rule(self, labels, message):
+        # a dataset that io.write_observations writes and
+        # io.parse_observations would refuse is not built
+        with pytest.raises(ValueError, match=message):
+            make_dataset([obs_at("S01", 0, 0, 0, 1.0)], len(labels), labels)
+
     def test_field_bounds(self):
         ds = make_dataset(
             [obs_at("S01", -3, 2, 0, 1.0), obs_at("S02", 7, -5, 0, 2.0)], 1

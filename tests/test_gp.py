@@ -535,11 +535,12 @@ class TestFit:
         for r_lml in model.restart_lmls:
             assert model.lml >= r_lml - 1e-9
 
-    def test_missing_task_rejected(self):
+    @pytest.mark.parametrize("fitter", [fit, fit_stgp], ids=["fit", "fit_stgp"])
+    def test_missing_task_rejected(self, fitter):
         obs = [Observation("S01", Location(0, 0), 0, 1.0)]
-        ds = make_dataset(obs, 2)
-        with pytest.raises(ValueError, match="at least one observation"):
-            fit(ds, FitConfig(restarts=1))
+        ds = make_dataset(obs, 2, ("pH", "N"))
+        with pytest.raises(ValueError, match=r"at least one observation; missing \['N'\]"):
+            fitter(ds, FitConfig(restarts=1))
 
     def test_model_invariants(self, small_dataset):
         model = fit(small_dataset, FitConfig(restarts=2, seed=5, max_iters=60))

@@ -193,7 +193,11 @@ class TestModelFile:
         ("mode", lambda raw: "icm", "theta dimension mismatch"),
         ("n_tasks", lambda raw: "3", "theta dimension mismatch"),
         ("theta", lambda raw: "nan " + raw.split(" ", 1)[1], "must be finite"),
-    ], ids=["extra_entry", "other_mode", "other_n_tasks", "nan_entry"])
+        ("theta", lambda raw: "-400 " + raw.split(" ", 1)[1],
+         "model file field theta: hyperparameter vector out of numeric range"),
+        ("theta", lambda raw: raw.rsplit(" ", 1)[0] + " 250.5", "beyond ±250"),
+    ], ids=["extra_entry", "other_mode", "other_n_tasks", "nan_entry", "below_bound",
+            "above_bound"])
     def test_theta_checked_at_read(self, tmp_path, key, edit, message):
         ds, model = self.fitted()
         path = tmp_path / "model.txt"
@@ -205,6 +209,16 @@ class TestModelFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
             read_model(path)
+
+    def test_theta_on_the_bound_read(self, tmp_path):
+        ds, model = self.fitted()
+        path = tmp_path / "model.txt"
+        write_model(path, model, dataset_digest(ds))
+        theta = model.theta.values.tolist()
+        line = "theta " + " ".join(map(repr, theta))
+        theta[:2] = [-250.0, 250.0]
+        path.write_text(path.read_text().replace(line, "theta " + " ".join(map(repr, theta))))
+        assert read_model(path).theta.values[:2].tolist() == [-250.0, 250.0]
 
     def test_wrong_format_tag(self, tmp_path):
         p = tmp_path / "model.txt"

@@ -391,6 +391,15 @@ class TestLayout:
         assert np.array_equal(layout.locs, locs)
         assert np.array_equal(layout.loc, loc.ravel())
 
+    def test_builds_where_every_distance_is_finite(self):
+        # the bounding box's squared diagonal, 1.81e308, overflows, but no
+        # pairwise distance does (the largest squares to 1.06e308)
+        xy = np.array([[0.0, 0.9e154], [1e154, 0.9e154], [0.5e154, 0.0]])
+        layout = _Layout(np.zeros(3, dtype=np.intp), xy, 1)
+        (_, _, r), = layout.blocks()
+        assert np.array_equal(r, cdist(layout.locs, layout.locs))
+        assert np.isfinite(r).all()
+
 
 class TestDistances:
     """kernels._cdist, every distance the package takes, against scipy's cdist."""
@@ -410,14 +419,21 @@ class TestDistances:
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, cdist(a, b))
 
-    def test_overflowing_offsets_give_inf_silently(self):
-        a = np.array([[0.0, 0.0], [-1e308, 1e308], [1.0, 2.0]])
-        b = np.array([[2e154, 0.0], [0.0, -1.4e154], [1e308, 0.0]])
+    @pytest.mark.parametrize("a, b", [
+        ([[0.0, 0.0], [-1e308, 1e308], [1.0, 2.0]], [[2e154, 0.0], [0.0, -1.4e154]]),
+        ([[0.0, 0.0], [1.0, 2.0]], [[3.0, 4.0], [1e155, 0.0]]),
+        ([[0.0, 0.0], [np.nan, 2.0]], [[3.0, 4.0]]),
+        ([[0.0, 0.0]], [[3.0, 4.0], [np.inf, 0.0]]),
+        ([[np.inf, 0.0]], [[np.inf, 0.0]]),
+    ], ids=["overflow_everywhere", "overflow_once", "nan", "inf", "inf_minus_inf"])
+    def test_non_finite_distances_refused(self, a, b):
+        # cdist squares each offset: one beyond ~1.3e154 m is inf, and the
+        # Matérn there (1 + z)·e^(−z) = inf·0 would be a NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kernels._cdist(a, b)
-        assert np.isposinf(got).all()
-        np.testing.assert_array_equal(got, cdist(a, b))
+            with pytest.raises(ValueError, match="points must be finite, and not so far "
+                               "apart that their distances overflow"):
+                kernels._cdist(np.array(a), np.array(b))
 
 
 @pytest.mark.xfail(
