@@ -103,8 +103,15 @@ class FitConfig:
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
         _positive_finite("tol", self.tol)
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed):
+    """``seed``, or ValueError unless it is a non-negative integer: the
+    rule of every seed a fit or a synthetic draw takes."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def _positive_finite(name: str, v):
@@ -167,9 +174,7 @@ class _Problem:
         self.ls_index = t if mode is KernelMode.CONVOLVED else np.zeros_like(t)
         self.y = dataset.values  # finite: Observation refuses any other value
         self.m = len(self.y)
-        # task-pair code t_p·n + t_q of every entry, in the narrowest
-        # unsigned type (one byte per entry for up to 16 tasks)
-        self.pair = (t[:, None] * n + t[None, :]).astype(np.min_scalar_type(n * n - 1))
+        self.pair = t[:, None] * n + t[None, :]  # task-pair code of every entry
         self.layout = _Layout(t, dataset.xy, n)
         self.blocks = list(self.layout.blocks(2))  # the spatial matrix and ∂/∂l
         self._work = None  # the gradient's M×M workspaces

@@ -29,7 +29,9 @@ eigen-path's spatial matrix, the synthetic draw's joint covariance and
 prediction's cross-covariance. A :class:`_Layout` gathers each row's
 entries from it through the row's (task, location) slot.
 :func:`matern32`, :func:`cross_matern32` and their derivatives write the
-pair formula out per entry; they are the table's bitwise references.
+pair formula out per entry; they are the table's bitwise references. The
+references and the table take every constant of a length-scale pair
+from one function, :func:`_cross_pair`.
 Distances come from :func:`_cdist`, scipy's ``cdist`` bitwise in numpy
 alone, so of scipy this module loads only LAPACK. It is the one place
 that refuses points whose distances are not finite: every training,
@@ -118,13 +120,10 @@ def matern32(r, lengthscale):
     return _matern32(z, np.exp(-z))
 
 
-# Some private formula helpers below overwrite arguments their callers
-# made for them (each docstring says which): at M ~ 100 a fresh M×M
-# buffer costs about as much as the arithmetic that fills it.
-
-
 def _matern32(z, e):
-    """Matérn 3/2 at z = √3 r/l, given e = e^(−z); overwrites an array z."""
+    """Matérn 3/2 at z = √3 r/l, given e = e^(−z). Overwrites an array z:
+    at M ~ 100 a fresh M×M buffer costs about as much as the arithmetic
+    that fills it."""
     z += 1.0
     z *= e
     return z
@@ -134,54 +133,26 @@ def matern32_dl(r, lengthscale):
     """d matern32 / d lengthscale = 3 r² / l³ · e^(−√3 r/l)."""
     l = _check_lengthscale(lengthscale)
     r = np.asarray(r, dtype=float)
-    return _matern32_dl(r, l, np.exp(-SQRT3 * r / l))
-
-
-def _matern32_dl(r, l, e):
-    """d matern32 / d l, given e = e^(−√3 r/l)."""
-    return 3.0 * r**2 / l**3 * e
+    return 3.0 * r**2 / l**3 * np.exp(-SQRT3 * r / l)
 
 
 def _cross_pair(li, lj):
-    """Constants of the cross kernel that depend only on the length-scale
-    pair: the equal-length-scale switch, the closed form's denominator
-    l_i² − l_j² (1 on the switch) and its amplitude 2√(l_i l_j)/denom."""
+    """Every constant of the cross kernel that depends only on the
+    length-scale pair: the equal-length-scale switch, the closed form's
+    amplitude 2√(l_i l_j)/(l_i² − l_j²) (the denominator 1 on the switch),
+    the coefficient of l_i e_i − l_j e_j in ∂k/∂l_i, three times the
+    switch's limit weight (½ when l_i = l_j bitwise, 1 when l_i is the
+    smaller, else 0) and min(l_i, l_j)³."""
     near = np.abs(li - lj) <= _EQ_TOL * np.maximum(li, lj)
     denom = np.where(near, 1.0, li**2 - lj**2)
     amp = 2.0 * np.sqrt(li * lj) / denom
-    return near, denom, amp
-
-
-def _cross_pair_dli(li, lj, denom):
-    """Pair constants of ∂k/∂l_i: the coefficient of l_i e_i − l_j e_j in
-    the closed form's bracket, three times the switch's limit weight
-    (½ when l_i = l_j bitwise, 1 when l_i is the smaller, else 0) and
-    min(l_i, l_j)³."""
     coef = 0.5 / li - 2.0 * li / denom
-    weight3 = np.where(li == lj, 0.5, np.where(li < lj, 1.0, 0.0)) * 3.0
-    return coef, weight3, np.minimum(li, lj) ** 3
-
-
-def _cross(near, amp, diff, m_min):
-    """k = amp · (l_i e_i − l_j e_j) off the switch, and on it the Matérn
-    at min(l_i, l_j), ``m_min``."""
-    return np.where(near, m_min, amp * diff)
-
-
-def _cross_dli(near, amp, coef, weight3, lmin3, r2, diff, m_i, e_min):
-    """∂k/∂l_i from the shared pieces: ``r2`` = r², ``diff`` =
-    l_i e_i − l_j e_j, ``m_i`` the Matérn at l_i and ``e_min`` =
-    e^(−√3 r/min(l_i, l_j)). On the switch it differentiates the value
-    computed there. Overwrites the arrays ``coef`` and ``weight3``."""
-    exact = coef  # amp · (coef · diff + m_i)
-    exact *= diff
-    exact += m_i
-    exact *= amp
-    limit = weight3  # weight3 · r² / lmin3 · e_min
-    limit *= r2
-    limit /= lmin3
-    limit *= e_min
-    return np.where(near, limit, exact)
+    weight3 = np.where(li == lj, 1.5, np.where(li < lj, 3.0, 0.0))
+    # the cube is inf past 5.6e102, within θ's bound (e^250); only ∂k/∂l_i
+    # reads it, so a value alone must not warn
+    with np.errstate(over="ignore"):
+        lmin3 = np.minimum(li, lj) ** 3
+    return near, amp, coef, weight3, lmin3
 
 
 def cross_matern32(r, l_i, l_j):
@@ -201,10 +172,10 @@ def cross_matern32(r, l_i, l_j):
     lj = _check_lengthscale(l_j)
     r = np.asarray(r, dtype=float)
     li, lj, r = np.broadcast_arrays(li, lj, r)
-    near, _, amp = _cross_pair(li, lj)
+    near, amp, *_ = _cross_pair(li, lj)
     diff = li * np.exp(-SQRT3 * r / li) - lj * np.exp(-SQRT3 * r / lj)
     zmin = SQRT3 * r / np.minimum(li, lj)
-    out = _cross(near, amp, diff, _matern32(zmin, np.exp(-zmin)))
+    out = np.where(near, _matern32(zmin, np.exp(-zmin)), amp * diff)
     return out if out.ndim else float(out)
 
 
@@ -221,29 +192,39 @@ def cross_matern32_dli(r, l_i, l_j):
     lj = _check_lengthscale(l_j)
     r = np.asarray(r, dtype=float)
     li, lj, r = np.broadcast_arrays(li, lj, r)
-    near, denom, amp = _cross_pair(li, lj)
+    near, amp, coef, weight3, lmin3 = _cross_pair(li, lj)
     zi = SQRT3 * r / li
     ei = np.exp(-zi)
     diff = li * ei - lj * np.exp(-SQRT3 * r / lj)
-    e_min = np.exp(-SQRT3 * r / np.minimum(li, lj))
-    out = _cross_dli(
-        near, amp, *_cross_pair_dli(li, lj, denom), r**2, diff, _matern32(zi, ei), e_min
-    )
+    exact = (coef * diff + _matern32(zi, ei)) * amp
+    limit = weight3 * r**2 / lmin3 * np.exp(-SQRT3 * r / np.minimum(li, lj))
+    out = np.where(near, limit, exact)
     return out if out.ndim else float(out)
+
+
+# Byte budget for the squared y offsets :func:`_cdist` holds at a time.
+_CDIST_BYTES = 1 << 17
 
 
 def _cdist(a, b):
     """Distances between the rows of two (·, 2) point arrays: scipy's
     ``cdist(a, b)``, bitwise, without importing scipy.spatial. Raises
     ValueError, with no warning, when a distance is not finite: a point
-    is NaN or infinite, or an offset beyond ~1.3e154 squares to inf."""
+    is NaN or infinite, or an offset beyond ~1.3e154 squares to inf. The
+    squared y offsets are added a row chunk of about ``_CDIST_BYTES`` at
+    a time, so the output is the one array of its size."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    step = max(1, _CDIST_BYTES // (8 * max(len(b), 1)))  # rows per chunk
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.subtract.outer(a[:, 0], b[:, 0])
         r *= r
-        dy = np.subtract.outer(a[:, 1], b[:, 1])
-        dy *= dy
-        r += dy
+        dy = np.empty((min(step, len(a)), len(b)))
+        for s in range(0, len(a), step):
+            rs = r[s : s + step]
+            d = dy[: len(rs)]
+            np.subtract.outer(a[s : s + step, 1], b[:, 1], out=d)
+            d *= d
+            rs += d
     if not np.isfinite(r.max(initial=0.0)):  # also false for NaN
         raise ValueError("points must be finite, and not so far apart that their "
                          "distances overflow")
@@ -318,17 +299,19 @@ def cross_cov_table(r, rows, task_cov_matrix, lengthscales, out, dl_out=None):
     :func:`cross_matern32`, and :func:`matern32` under ICM, and the
     derivative :func:`cross_matern32_dli`.
 
-    Each task's length-scale takes one exponential over ``r``, and the
-    pair constants are computed at k×n. When every pair is on the
-    equal-length-scale switch (ICM, one task, or tied length-scales),
-    every block is the one Matérn and the pair arithmetic is skipped.
+    Each task's length-scale takes one exponential over ``r``, and one
+    :func:`_cross_pair` call computes every pair constant at k×n; the
+    blocks of the pairs on the equal-length-scale switch are then written
+    from the Matérn (and its derivative) at the task of min(l_i, l_j).
+    When every pair is on the switch (ICM, one task, or tied
+    length-scales), every block is the one Matérn and the pair arithmetic
+    is skipped.
     Gathered through a :class:`_Layout`, the table is the dense
     objective's spatial matrix and its derivative, the synthetic draw's
     joint covariance (see :func:`_joint_cov`) and the prediction core's
     K*; for one task and one length-scale it is the eigen-path's spatial
     matrix itself.
     """
-    n = out.shape[1]
     rows = np.asarray(rows)
     ls = _check_lengthscale(lengthscales)
     kc = None if task_cov_matrix is None else task_cov_matrix[rows][:, :, None, None]
@@ -336,7 +319,7 @@ def cross_cov_table(r, rows, task_cov_matrix, lengthscales, out, dl_out=None):
         z = SQRT3 * r
         z /= ls[0]
         e = np.exp(-z)
-        if dl_out is not None:  # on the switch: half of _matern32_dl
+        if dl_out is not None:  # on the switch: half of matern32_dl
             np.divide(1.5 * (r * r), ls[:1] ** 3, out=dl_out)
             dl_out *= e
         m = _matern32(z, e)
@@ -346,23 +329,21 @@ def cross_cov_table(r, rows, task_cov_matrix, lengthscales, out, dl_out=None):
             np.multiply(m, kc, out=out)
         return out
 
-    li, lj = ls[rows][:, None], ls[None, :]
-    near, denom, amp = _cross_pair(li, lj)
+    near, amp, coef, weight3, lmin3 = _cross_pair(ls[rows][:, None], ls[None, :])
+    a, b = np.nonzero(near)  # the switch's pairs
+    lo = np.where(ls[rows[a]] <= ls[b], rows[a], b)  # their task of min(l_i, l_j)
     z = (SQRT3 * r) / ls[:, None, None]  # per task: n×B×U
     e = np.exp(-z)
     d = ls[:, None, None] * e
     m = _matern32(z, e)
-    lo = np.where(li <= lj, rows[:, None], np.arange(n))[near]  # task of min(l_i, l_j)
     np.subtract(d[rows][:, None], d[None], out=out)  # l_i e_i − l_j e_j
-    if dl_out is not None:  # _cross_dli's operations, in its order
-        coef, weight3, lmin3 = _cross_pair_dli(li, lj, denom)
+    if dl_out is not None:  # cross_matern32_dli's operations, in its order
         np.multiply(out, coef[:, :, None, None], out=dl_out)
         dl_out += m[rows][:, None]
         dl_out *= amp[:, :, None, None]
-        dl_out[near] = (weight3[near][:, None, None] * (r * r)
-                        / lmin3[near][:, None, None] * e[lo])
+        dl_out[a, b] = weight3[a, b, None, None] * (r * r) / lmin3[a, b, None, None] * e[lo]
     out *= amp[:, :, None, None]
-    out[near] = m[lo]
+    out[a, b] = m[lo]
     if kc is not None:
         out *= kc
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, Location, Observation, _sample_ids, check_labels, make_dataset
-from .gp import HyperParams, _positive_finite, theta_from_moments
+from .gp import HyperParams, _check_seed, _positive_finite, theta_from_moments
 from .kernels import JITTER_LADDER, KernelMode, _joint_chol, _Layout
 from .mapping import GroundTruth
 
@@ -147,8 +147,9 @@ def draw_field(
     The joint covariance is assembled in row blocks of the kernel table
     and factored in place with a jitter of at least 1e-10, as every fitted
     model's is (:func:`kernels._joint_chol`): the draw holds one N×N array.
+    A negative ``seed`` is refused with ValueError, as a fit's is.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     if locations is None:
         locs = random_locations(rng, cfg.n_samples, cfg.width, cfg.height)
     else:

@@ -552,8 +552,9 @@ class TestSynth:
         (("--noise", "abc"), "noise must be a number, got 'abc'"),
         (("--variances", "1,x,1,1"), "variances must be a number, got 'x'"),
         (("--corr", "pH,N=abc"), "corr must be a number, got 'abc'"),
+        (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
     ], ids=["self", "twice", "above_one", "nan_r", "not_jointly", "variance", "noise",
-            "noise_not_number", "variance_not_number", "corr_not_number"])
+            "noise_not_number", "variance_not_number", "corr_not_number", "seed"])
     def test_generator_setting_refused(self, capsys, tmp_path, argv, message):
         out = tmp_path / "o.csv"
         code, _, err = run(capsys, "synth", "--out", str(out), *argv)

@@ -370,6 +370,35 @@ class TestTrainingKernel:
         assert np.array_equal(value, cross_matern32(r, l, l))
         assert np.array_equal(dl, cross_matern32_dli(r, l, l))
 
+    @pytest.mark.parametrize("rows", [(1, 0), (3, 0, 2)], ids=["two", "three"])
+    @pytest.mark.parametrize("with_kc", [False, True], ids=["unit", "kc"])
+    def test_row_tasks_a_permuted_subset(self, rows, with_kc):
+        # prediction may ask for some of the tasks, in any order; tasks 0
+        # and 2 tie bitwise, and task 1 lies inside the band of both
+        ls = np.array([40.0, 40.0 * (1 + 5e-5), 40.0, 60.0])
+        rng = np.random.default_rng(11)
+        L = np.tril(rng.normal(size=(4, 4)))
+        Kc = L @ L.T if with_kc else None
+        r = cdist(rng.uniform(0, 150, (9, 2)), rng.uniform(0, 150, (13, 2)))
+        value, dl = np.empty((2, len(rows), 4) + r.shape)
+        cross_cov_table(r, rows, Kc, ls, value, dl)
+        for a, i in enumerate(rows):
+            for j in range(4):
+                k = cross_matern32(r, ls[i], ls[j])
+                assert np.array_equal(value[a, j], k if Kc is None else Kc[i, j] * k)
+                assert np.array_equal(dl[a, j], cross_matern32_dli(r, ls[i], ls[j]))
+
+    def test_lengthscales_whose_cube_overflows(self):
+        # θ's bound lets a length-scale reach e^250 = 3.7e108, whose cube is
+        # inf; the value takes no cube, and a RuntimeWarning fails the test
+        ls = np.array([1e105, 1e105 * (1 + 5e-5), 3e105])
+        r = cdist(np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([[1.0, 1.0], [9.0, 2.0]]))
+        value = np.empty((3, 3) + r.shape)
+        cross_cov_table(r, (0, 1, 2), None, ls, value)
+        for i in range(3):
+            for j in range(3):
+                assert np.array_equal(value[i, j], cross_matern32(r, ls[i], ls[j]))
+
     def test_scalar_derivatives_are_floats(self):
         assert isinstance(matern32_dl(5.0, 12.0), float)
         assert isinstance(cross_matern32_dli(5.0, 12.0, 30.0), float)
@@ -418,6 +447,15 @@ class TestDistances:
         got = kernels._cdist(a, b)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, cdist(a, b))
+
+    def test_holds_one_output_sized_array(self):
+        # the squared y offsets are added a bounded row chunk at a time; a
+        # second full-size array for them put the peak at 2.07x the output
+        rng = np.random.default_rng(3)
+        a, b = rng.uniform(0, 300, (2000, 2)), rng.uniform(0, 300, (120, 2))
+        r, peak, _ = traced_squares(lambda: kernels._cdist(a, b), 1)  # in float64s
+        np.testing.assert_array_equal(r, cdist(a, b))
+        assert peak <= 1.25 * r.size
 
     @pytest.mark.parametrize("a, b", [
         ([[0.0, 0.0], [-1e308, 1e308], [1.0, 2.0]], [[2e154, 0.0], [0.0, -1.4e154]]),
