@@ -449,8 +449,8 @@ class TestDistances:
         np.testing.assert_array_equal(got, cdist(a, b))
 
     def test_holds_one_output_sized_array(self):
-        # the squared y offsets are added a bounded row chunk at a time; a
-        # second full-size array for them put the peak at 2.07x the output
+        # the squared y offsets are added a bounded row chunk at a time, so
+        # the output is the one array of its size
         rng = np.random.default_rng(3)
         a, b = rng.uniform(0, 300, (2000, 2)), rng.uniform(0, 300, (120, 2))
         r, peak, _ = traced_squares(lambda: kernels._cdist(a, b), 1)  # in float64s
