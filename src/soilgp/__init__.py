@@ -37,7 +37,6 @@ from .mapping import (
     CorrelationTrajectory,
     GridSpec,
     GroundTruth,
-    PropertyMap,
     RmseCurves,
     correlation_trajectory,
     predict_map,

@@ -198,11 +198,12 @@ def _cmd_map(args):
     _, dataset, model = _load_model_with_data(args)
     bounds = _parse_bounds(args.bounds) if args.bounds else dataset.field_bounds
     grid = GridSpec(bounds, cfg.resolution)
-    maps = predict_map(model, grid, denormalize=cfg.denormalize)
+    mean, variance = predict_map(model, grid, denormalize=cfg.denormalize)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_maps(out_dir, args.prefix, maps)
-    print(f"wrote {len(maps)} mean + {len(maps)} variance surfaces "
+    labels = dataset.labels
+    write_maps(out_dir, args.prefix, labels, grid, mean, variance)
+    print(f"wrote {len(labels)} mean + {len(labels)} variance surfaces "
           f"({grid.nx}x{grid.ny} cells) to {out_dir}")
     return EXIT_OK
 

@@ -32,6 +32,7 @@ from .kernels import (
     _joint_cov,
     _Layout,
     _cdist as cdist,  # under scipy's name, which bench/tracing.py patches here
+    _check_positive,
     _tril_slots,
     _unpack,
     cross_cov_table,
@@ -550,6 +551,16 @@ def _build_model(norm_ds, stats, theta, restart_lmls) -> FittedModel:
 # ---------------------------------------------------------------------------
 
 
+def _task_rows(tasks, n: int) -> np.ndarray:
+    """``tasks`` as intp, or ValueError unless each is an integer id of the n tasks."""
+    ids = np.asarray(tasks)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError(f"task ids must be a sequence of integers, got {ids!r}")
+    if np.any((ids < 0) | (ids >= n)):
+        raise ValueError(f"unknown task id in queries (model has {n} tasks)")
+    return ids.astype(np.intp)
+
+
 def predict_arrays(
     model: FittedModel,
     q_tasks: np.ndarray,
@@ -562,9 +573,9 @@ def predict_arrays(
     of Q. The rows of each task go through :func:`predict_tasks`
     together, so a row pays for its own task only.
     """
-    q_tasks = np.asarray(q_tasks, dtype=np.intp)
+    q_tasks = _task_rows(q_tasks, model.n_tasks)
     q_xy = np.asarray(q_xy, dtype=float)
-    if q_tasks.ndim != 1 or q_xy.shape != (q_tasks.size, 2):
+    if q_xy.shape != (q_tasks.size, 2):
         raise ValueError(
             f"queries need one (x, y) per task id: {q_tasks.shape} task ids, "
             f"points of shape {q_xy.shape}"
@@ -622,9 +633,7 @@ def predict_tasks(
     a training location overflows: :func:`kernels._cdist` refuses it.
     """
     n = model.n_tasks
-    rows = np.array([int(i) for i in tasks], dtype=np.intp)
-    if np.any((rows < 0) | (rows >= n)):
-        raise ValueError(f"unknown task id in queries (model has {n} tasks)")
+    rows = _task_rows(tasks, n)
     xy = np.asarray(xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise ValueError(f"points must be (P, 2), got {xy.shape}")
@@ -721,7 +730,7 @@ def theta_from_moments(
 ) -> HyperParams:
     """Packed theta from interpretable pieces: per-task variances, an
     inter-task correlation matrix, length-scales, noise variances."""
-    var = np.atleast_1d(np.asarray(variances, dtype=float))
+    var = _check_positive(np.atleast_1d(variances), "variances")  # before the √
     corr = np.asarray(correlations, dtype=float)
     n = len(var)
     if corr.shape != (n, n):

@@ -22,7 +22,7 @@ import numpy as np
 from .data import Dataset, Location, Observation, _sample_ids, check_labels, make_dataset
 from .gp import FitConfig, FittedModel, HyperParams, _check_theta, condition
 from .kernels import NOISE_FLOOR, KernelMode
-from .mapping import GroundTruth, GridSpec, PropertyMap, RmseCurves, CorrelationTrajectory
+from .mapping import GroundTruth, GridSpec, RmseCurves, CorrelationTrajectory
 from .mission import FieldBoundary
 
 __all__ = [
@@ -352,35 +352,37 @@ def _text_rows(grid: GridSpec, values):
         yield list(map(repr, r.tolist()))
 
 
-def _map_lines(maps, asc_rows=None):
-    """The map CSV's lines, one newline-joined block per grid row.
+def _map_lines(labels, grid: GridSpec, mean, variance, asc_rows=None):
+    """The map CSV's lines, one newline-joined block per grid row. Row i of
+    ``mean`` and ``variance`` (len(labels) × n_cells) is task ``labels[i]``.
 
-    Each value is formatted once. With ``asc_rows``, each map's mean and
+    Each value is formatted once. With ``asc_rows``, each task's mean and
     variance grids, as one joined ASC row string per grid row (south to
-    north), go to ``asc_rows(pm, mean_rows, variance_rows)`` once the
-    map's lines are out, so only one map's text is held at a time.
+    north), go to ``asc_rows(label, mean_rows, variance_rows)`` once the
+    task's lines are out, so only one task's text is held at a time.
     """
-    grid = None
-    for pm in maps:
-        if pm.grid != grid:  # format each grid's column and row centers once
-            grid = pm.grid
-            centers = grid.cell_centers  # a meshgrid: x by column, y by row
-            xs = list(map(repr, centers[:grid.nx, 0].tolist()))
-            ys = list(map(repr, centers[::grid.nx, 1].tolist()))
+    shape = (len(labels), grid.n_cells)
+    if np.shape(mean) != shape or np.shape(variance) != shape:
+        raise ValueError(f"map arrays must be {shape} (tasks x cells), got "
+                         f"{np.shape(mean)} and {np.shape(variance)}")
+    centers = grid.cell_centers  # a meshgrid: x by column, y by row
+    xs = list(map(repr, centers[:grid.nx, 0].tolist()))
+    ys = list(map(repr, centers[::grid.nx, 1].tolist()))
+    for label, task_mean, task_variance in zip(labels, mean, variance):
         mean_rows, variance_rows = [], []
-        for y, means, variances in zip(ys, _text_rows(grid, pm.mean),
-                                       _text_rows(grid, pm.variance)):
-            yield "\n".join([f"{pm.label},{x},{y},{m},{v}"
+        for y, means, variances in zip(ys, _text_rows(grid, task_mean),
+                                       _text_rows(grid, task_variance)):
+            yield "\n".join([f"{label},{x},{y},{m},{v}"
                               for x, m, v in zip(xs, means, variances)])
             if asc_rows is not None:
                 mean_rows.append(" ".join(means))
                 variance_rows.append(" ".join(variances))
         if asc_rows is not None:
-            asc_rows(pm, mean_rows, variance_rows)
+            asc_rows(label, mean_rows, variance_rows)
 
 
-def write_map_csv(path, maps: list[PropertyMap]):
-    _write_lines(path, MAP_HEADER, _map_lines(maps))
+def write_map_csv(path, labels, grid: GridSpec, mean, variance):
+    _write_lines(path, MAP_HEADER, _map_lines(labels, grid, mean, variance))
 
 
 def _write_asc_rows(path, grid: GridSpec, rows: list[str]):
@@ -404,17 +406,19 @@ def write_asc(path, grid: GridSpec, values: np.ndarray):
     _write_asc_rows(path, grid, [" ".join(r) for r in _text_rows(grid, values)])
 
 
-def write_maps(out_dir, prefix: str, maps: list[PropertyMap]):
-    """Export ``maps`` in one pass: ``<prefix>.csv`` holding every map, as
-    ``write_map_csv`` writes it, and per map ``<prefix>_<label>_mean.asc``
-    and ``<prefix>_<label>_variance.asc``, as ``write_asc`` writes them."""
+def write_maps(out_dir, prefix: str, labels, grid: GridSpec, mean, variance):
+    """Export the maps of tasks ``labels`` in one pass: ``<prefix>.csv``
+    holding every task, as ``write_map_csv`` writes it, and per task
+    ``<prefix>_<label>_mean.asc`` and ``<prefix>_<label>_variance.asc``,
+    as ``write_asc`` writes them."""
     out_dir = Path(out_dir)
 
-    def write_grids(pm, mean_rows, variance_rows):
+    def write_grids(label, mean_rows, variance_rows):
         for kind, rows in (("mean", mean_rows), ("variance", variance_rows)):
-            _write_asc_rows(out_dir / f"{prefix}_{pm.label}_{kind}.asc", pm.grid, rows)
+            _write_asc_rows(out_dir / f"{prefix}_{label}_{kind}.asc", grid, rows)
 
-    _write_lines(out_dir / f"{prefix}.csv", MAP_HEADER, _map_lines(maps, write_grids))
+    _write_lines(out_dir / f"{prefix}.csv", MAP_HEADER,
+                 _map_lines(labels, grid, mean, variance, write_grids))
 
 
 def write_predictions(path, labels, tasks, xy, mean, variance):

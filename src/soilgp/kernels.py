@@ -106,16 +106,16 @@ class NumericFailure(RuntimeError):
     """Covariance factorization failed after the full jitter ladder."""
 
 
-def _check_lengthscale(l) -> np.ndarray:
-    l = np.asarray(l, dtype=float)
-    if not ((l > 0) & np.isfinite(l)).all():  # also false for NaN
-        raise ValueError("length-scale must be positive and finite")
-    return l
+def _check_positive(v, name: str = "length-scale") -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if not ((v > 0) & np.isfinite(v)).all():  # also false for NaN
+        raise ValueError(f"{name} must be positive and finite")
+    return v
 
 
 def matern32(r, lengthscale):
     """Unit-amplitude Matérn 3/2 correlation, k(r) = (1 + √3 r/l) e^(−√3 r/l)."""
-    l = _check_lengthscale(lengthscale)
+    l = _check_positive(lengthscale)
     z = SQRT3 * np.asarray(r, dtype=float) / l
     return _matern32(z, np.exp(-z))
 
@@ -131,7 +131,7 @@ def _matern32(z, e):
 
 def matern32_dl(r, lengthscale):
     """d matern32 / d lengthscale = 3 r² / l³ · e^(−√3 r/l)."""
-    l = _check_lengthscale(lengthscale)
+    l = _check_positive(lengthscale)
     r = np.asarray(r, dtype=float)
     return 3.0 * r**2 / l**3 * np.exp(-SQRT3 * r / l)
 
@@ -168,8 +168,8 @@ def cross_matern32(r, l_i, l_j):
     relative of each other use the limit form at the smaller of the two
     (argument-order symmetric, exact on the task diagonal).
     """
-    li = _check_lengthscale(l_i)
-    lj = _check_lengthscale(l_j)
+    li = _check_positive(l_i)
+    lj = _check_positive(l_j)
     r = np.asarray(r, dtype=float)
     li, lj, r = np.broadcast_arrays(li, lj, r)
     near, amp, *_ = _cross_pair(li, lj)
@@ -188,8 +188,8 @@ def cross_matern32_dli(r, l_i, l_j):
     half to each when they coincide bitwise (the task diagonal, where
     row and column contributions add back to the full derivative).
     """
-    li = _check_lengthscale(l_i)
-    lj = _check_lengthscale(l_j)
+    li = _check_positive(l_i)
+    lj = _check_positive(l_j)
     r = np.asarray(r, dtype=float)
     li, lj, r = np.broadcast_arrays(li, lj, r)
     near, amp, coef, weight3, lmin3 = _cross_pair(li, lj)
@@ -313,7 +313,7 @@ def cross_cov_table(r, rows, task_cov_matrix, lengthscales, out, dl_out=None):
     matrix itself.
     """
     rows = np.asarray(rows)
-    ls = _check_lengthscale(lengthscales)
+    ls = _check_positive(lengthscales)
     kc = None if task_cov_matrix is None else task_cov_matrix[rows][:, :, None, None]
     if (ls == ls[0]).all():
         z = SQRT3 * r
@@ -404,18 +404,17 @@ def pack_theta(L: np.ndarray, lengthscales, noise_vars, mode: KernelMode) -> np.
     n = L.shape[0]
     if L.shape != (n, n):
         raise ValueError("factor must be square")
-    if np.any(np.diag(L) <= 0):
-        raise ValueError("factor diagonal must be strictly positive")
+    _check_positive(np.diag(L), "factor diagonal")
     rows, cols, diag = _tril_slots(n)
     tri = L[rows, cols]
     tri[diag] = np.log(tri[diag])
-    ls = _check_lengthscale(np.atleast_1d(lengthscales))
-    nv = np.atleast_1d(np.asarray(noise_vars, dtype=float))
+    ls = _check_positive(np.atleast_1d(lengthscales))
+    nv = _check_positive(np.atleast_1d(noise_vars), "noise variances")
     n_ls = mode.n_lengthscales(n)
     if ls.shape != (n_ls,):
         raise ValueError(f"expected {n_ls} length-scale(s) for mode {mode.value}")
-    if nv.shape != (n,) or np.any(nv <= 0):
-        raise ValueError(f"expected {n} positive noise variances")
+    if nv.shape != (n,):
+        raise ValueError(f"expected {n} noise variances")
     return np.concatenate([tri, np.log(ls), np.log(nv)])
 
 

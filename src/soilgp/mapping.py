@@ -19,7 +19,6 @@ from .gp import FitConfig, FittedModel, fit, fit_stgp, predict_tasks, task_corre
 __all__ = [
     "MAX_GRID_CELLS",
     "GridSpec",
-    "PropertyMap",
     "GroundTruth",
     "RmseCurves",
     "CorrelationTrajectory",
@@ -89,24 +88,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class PropertyMap:
-    """Posterior mean and variance surfaces for one task on a grid."""
-
-    label: str
-    grid: GridSpec
-    mean: np.ndarray
-    variance: np.ndarray
-    normalized: bool
-
-    def __post_init__(self):
-        n = self.grid.n_cells
-        if self.mean.shape != (n,) or self.variance.shape != (n,):
-            raise ValueError("map arrays must match the grid cell count")
-        if np.any(self.variance < 0):
-            raise ValueError("variance map must be non-negative")
-
-
-@dataclass(frozen=True)
 class GroundTruth:
     """Per-task reference values at shared evaluation points (raw units)."""
 
@@ -153,20 +134,12 @@ def predict_map(
     model: FittedModel,
     grid: GridSpec,
     denormalize: bool = False,
-) -> list[PropertyMap]:
-    """One mean/variance surface per task, evaluated at every cell center."""
-    tasks = range(model.n_tasks)
-    mean, var = predict_tasks(model, tasks, grid.cell_centers, denormalize=denormalize)
-    return [
-        PropertyMap(
-            label=model.dataset.labels[i],
-            grid=grid,
-            mean=mean[i],
-            variance=var[i],
-            normalized=not denormalize,
-        )
-        for i in tasks
-    ]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance of every task at every cell center, as two
+    n_tasks × n_cells arrays (row i: ``model.dataset``'s label i; cells in the
+    grid's row-major order), in normalized units unless ``denormalize``."""
+    return predict_tasks(model, range(model.n_tasks), grid.cell_centers,
+                         denormalize=denormalize)
 
 
 def rmse(predicted, truth) -> float:
@@ -212,12 +185,10 @@ def sequential_eval(
     values = np.empty((n_samples, data.n_tasks))
     for idx, k in enumerate(ks):
         sub = prefix(data, k)
-        if method == "mtgp":
-            pred = predict_tasks(fit(sub, config), range(data.n_tasks), truth.xy,
-                                 denormalize=True)[0]
-        else:  # one single-task model per task
-            pred = [predict_tasks(m, (0,), truth.xy, denormalize=True)[0][0]
-                    for m in fit_stgp(sub, config)]
+        # MTGP: one model of every task; STGP: one single-task model per task
+        models = [fit(sub, config)] if method == "mtgp" else fit_stgp(sub, config)
+        pred = np.vstack([predict_tasks(m, range(m.n_tasks), truth.xy, denormalize=True)[0]
+                          for m in models])
         for i in range(data.n_tasks):
             values[idx, i] = rmse(pred[i] / scales[i], truth.values[i] / scales[i])
     return RmseCurves(method, ks, values)

@@ -732,9 +732,10 @@ loaded()
 field = synthetic.SyntheticField(n_samples=6, width=40.0, height=30.0)
 dataset, _ = synthetic.draw_field(field, 1)
 model = gp.condition(dataset, synthetic.prior_theta(field))
-maps = predict_map(model, GridSpec(dataset.field_bounds, 10.0))
+grid = GridSpec(dataset.field_bounds, 10.0)
+mean, variance = predict_map(model, grid)
 with tempfile.TemporaryDirectory() as d:
-    io.write_maps(d, "m", maps)
+    io.write_maps(d, "m", dataset.labels, grid, mean, variance)
 loaded()
 gp.fit(dataset, gp.FitConfig(restarts=1, max_iters=5))
 loaded()

@@ -96,6 +96,17 @@ class TestLogMarginalLikelihood:
             doubled, small_dataset
         )
 
+    @pytest.mark.parametrize("variances", [[1.0, -1.0], [np.nan, 1.0], [1.0, np.inf]],
+                             ids=["negative", "nan", "inf"])
+    def test_theta_from_moments_refuses_bad_variances(self, variances):
+        # a negative variance used to reach √ (a RuntimeWarning) and then
+        # fail in scipy's Cholesky on the NaNs it made
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^variances must be positive and finite"):
+                theta_from_moments(variances, np.eye(2), [10.0, 10.0], [0.1, 0.1],
+                                   KernelMode.CONVOLVED)
+
     def test_dimension_mismatch(self, small_dataset):
         theta3 = theta_from_moments(
             [1.0] * 3, np.eye(3), [5.0] * 3, [0.1] * 3, KernelMode.CONVOLVED
@@ -645,6 +656,22 @@ class TestPredict:
         with pytest.raises(ValueError, match="unknown task"):
             predict_arrays(model, [2], [(0.0, 0.0)])
 
+    @pytest.mark.parametrize(("entry", "tasks"), [
+        ("predict_tasks", (1.5,)),
+        ("predict_tasks", np.array([1.0])),
+        ("predict_tasks", [0, np.nan]),
+        ("predict_arrays", [1.7]),
+        ("predict_arrays", np.array([True])),
+        ("predict_tasks", np.array([[0, 1]])),
+    ], ids=["tasks_half", "tasks_float_array", "tasks_nan", "arrays_float", "arrays_bool",
+            "tasks_two_dim"])
+    def test_non_integer_task_id_rejected(self, entry, tasks):
+        # a float id used to be truncated to the task below it
+        model, _ = self.model_on_prior_draw()
+        xy = np.zeros((np.size(tasks), 2)) if entry == "predict_arrays" else [(1.0, 2.0)]
+        with pytest.raises(ValueError, match="task ids must be a sequence of integers"):
+            getattr(gp_module, entry)(model, tasks, xy)
+
     def test_mismatched_query_shapes_rejected(self):
         model, _ = self.model_on_prior_draw()
         with pytest.raises(ValueError, match="one \\(x, y\\) per task id"):
@@ -694,6 +721,8 @@ class TestPredict:
         xy = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         mean, var = predict_tasks(model, (), xy)
         assert mean.shape == var.shape == (0, 3)
+        mean, var = predict_arrays(model, [], np.zeros((0, 2)))
+        assert mean.shape == var.shape == (0,)
 
     def test_model_builds_one_layout(self, monkeypatch):
         first, ds = self.model_on_prior_draw()

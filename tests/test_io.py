@@ -33,7 +33,7 @@ from soilgp.io import (
     write_truth,
 )
 from soilgp.kernels import KernelMode
-from soilgp.mapping import GridSpec, GroundTruth, PropertyMap
+from soilgp.mapping import GridSpec, GroundTruth
 from soilgp.mission import FieldBoundary, grid_plan
 from soilgp.synthetic import SyntheticField, draw_field
 
@@ -269,9 +269,9 @@ class TestMapCsv:
             [1.0] * 4, np.eye(4), [20.0] * 4, [0.05] * 4, KernelMode.CONVOLVED
         )
         grid = GridSpec(Rect(0, 0, 60, 40), 10.0)
-        maps = predict_map(condition(ds, theta), grid)
+        mean, variance = predict_map(condition(ds, theta), grid)
         p = tmp_path / "map.csv"
-        write_map_csv(p, maps)
+        write_map_csv(p, ds.labels, grid, mean, variance)
         lines = p.read_text().splitlines()
         assert lines[0] == "task,x_m,y_m,mean,variance"
         assert len(lines) == 1 + 4 * grid.n_cells
@@ -368,23 +368,22 @@ def _reference_asc(grid, values):
     return "\n".join(lines) + "\n"
 
 
-def _reference_map_csv(maps):
+def _reference_map_csv(labels, grid, mean, variance):
     lines = ["task,x_m,y_m,mean,variance"]
-    for pm in maps:
-        c = pm.grid.cell_centers
-        for k in range(pm.grid.n_cells):
-            vals = (c[k, 0], c[k, 1], pm.mean[k], pm.variance[k])
-            lines.append(",".join([pm.label] + [repr(float(v)) for v in vals]))
+    c = grid.cell_centers
+    for i, label in enumerate(labels):
+        for k in range(grid.n_cells):
+            vals = (c[k, 0], c[k, 1], mean[i, k], variance[i, k])
+            lines.append(",".join([label] + [repr(float(v)) for v in vals]))
     return "\n".join(lines) + "\n"
 
 
-def _reference_export(prefix, maps):
+def _reference_export(prefix, labels, grid, mean, variance):
     """File name -> bytes of every file ``write_maps`` should write."""
-    files = {f"{prefix}.csv": _reference_map_csv(maps).encode()}
-    for pm in maps:
-        for kind in ("mean", "variance"):
-            files[f"{prefix}_{pm.label}_{kind}.asc"] = _reference_asc(
-                pm.grid, getattr(pm, kind)).encode()
+    files = {f"{prefix}.csv": _reference_map_csv(labels, grid, mean, variance).encode()}
+    for i, label in enumerate(labels):
+        for kind, values in (("mean", mean), ("variance", variance)):
+            files[f"{prefix}_{label}_{kind}.asc"] = _reference_asc(grid, values[i]).encode()
     return files
 
 
@@ -405,6 +404,17 @@ def _values(draw, n):
     return np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float)
 
 
+MAP_LABELS = ("t0", "t1", "t2")
+
+
+def _three_task_maps(draw):
+    """A drawn grid and the mean and variance arrays of three tasks on it."""
+    grid = draw(grids())
+    mean = _values(draw, 3 * grid.n_cells).reshape(3, grid.n_cells)
+    var = np.abs(_values(draw, 3 * grid.n_cells)).reshape(3, grid.n_cells)
+    return grid, mean, var
+
+
 class TestWriterBytes:
     """The fast writers give the same bytes as per-value formatting."""
 
@@ -419,30 +429,19 @@ class TestWriterBytes:
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=60)
-    def test_map_csv_matches_per_value_repr_across_grids(self, tmp_path_factory, data):
-        a, b = data.draw(grids()), data.draw(grids())
-        maps = []
-        # grid a, then b, then a again: centers must follow each map's grid
-        for i, grid in enumerate([a, b, a]):
-            mean = _values(data.draw, grid.n_cells)
-            var = np.abs(_values(data.draw, grid.n_cells))
-            maps.append(PropertyMap(f"t{i}", grid, mean, var, True))
+    def test_map_csv_matches_per_value_repr(self, tmp_path_factory, data):
+        grid, mean, var = _three_task_maps(data.draw)
         p = tmp_path_factory.mktemp("map") / "map.csv"
-        write_map_csv(p, maps)
-        assert p.read_bytes() == _reference_map_csv(maps).encode()
+        write_map_csv(p, MAP_LABELS, grid, mean, var)
+        assert p.read_bytes() == _reference_map_csv(MAP_LABELS, grid, mean, var).encode()
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=60)
-    def test_map_export_matches_per_value_repr_across_grids(self, tmp_path_factory, data):
-        a, b = data.draw(grids()), data.draw(grids())
-        maps = []
-        for i, grid in enumerate([a, b, a]):
-            mean = _values(data.draw, grid.n_cells)
-            var = np.abs(_values(data.draw, grid.n_cells))
-            maps.append(PropertyMap(f"t{i}", grid, mean, var, True))
+    def test_map_export_matches_per_value_repr(self, tmp_path_factory, data):
+        grid, mean, var = _three_task_maps(data.draw)
         d = tmp_path_factory.mktemp("export")
-        write_maps(d, "m", maps)
-        assert _read_tree(d) == _reference_export("m", maps)
+        write_maps(d, "m", MAP_LABELS, grid, mean, var)
+        assert _read_tree(d) == _reference_export("m", MAP_LABELS, grid, mean, var)
 
     def test_cli_map_matches_per_value_repr(self, tmp_path):
         """The nine files ``soilgp map`` writes equal the per-value format
@@ -462,8 +461,10 @@ class TestWriterBytes:
         assert main(["map", "--model", str(model), "--obs", str(obs), "--out-dir",
                      str(out), "--bounds", "0,0,60,40", "--resolution", "7"]) == 0
         rebuilt = model_from_record(read_model(model), parse_observations(obs))
-        maps = predict_map(rebuilt, GridSpec(Rect(0, 0, 60, 40), 7.0))
-        assert _read_tree(out) == _reference_export("map", maps)  # 1 CSV + 8 grids
+        grid = GridSpec(Rect(0, 0, 60, 40), 7.0)
+        mean, var = predict_map(rebuilt, grid)
+        expected = _reference_export("map", ds.labels, grid, mean, var)
+        assert _read_tree(out) == expected  # 1 CSV + 8 grids
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=60)
@@ -585,10 +586,11 @@ class TestStreamingWrite:
 
 
 def _export_maps(n_maps):
-    grid = GridSpec(Rect(0.0, 0.0, 120.0, 60.0), 1.0)  # 7,200 cells
+    """Labels, grid, mean and variance of ``n_maps`` tasks on 7,200 cells."""
+    grid = GridSpec(Rect(0.0, 0.0, 120.0, 60.0), 1.0)
     rng = np.random.default_rng(0)
-    return [PropertyMap(f"t{i}", grid, rng.normal(size=grid.n_cells),
-                        rng.random(grid.n_cells), True) for i in range(n_maps)]
+    return (tuple(f"t{i}" for i in range(n_maps)), grid,
+            rng.normal(size=(n_maps, grid.n_cells)), rng.random((n_maps, grid.n_cells)))
 
 
 class TestMapExport:
@@ -596,16 +598,15 @@ class TestMapExport:
         """Beyond its input maps, the export's traced peak is bounded by
         one map's ASC text, and a 4-map export peaks within a quarter of
         that text of a 1-map export on the same grid."""
-        maps = _export_maps(4)
-        maps[0].grid.cell_centers  # cached on the grid, as predict_map leaves it
-        one_map_text = sum(len(" ".join(map(repr, a.tolist())))
-                           for a in (maps[0].mean, maps[0].variance))
+        labels, grid, mean, var = _export_maps(4)
+        grid.cell_centers  # cached on the grid, as predict_map leaves it
+        one_map_text = sum(len(" ".join(map(repr, a.tolist()))) for a in (mean[0], var[0]))
 
         def peak(n):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                write_maps(tmp_path, "m", maps[:n])
+                write_maps(tmp_path, "m", labels[:n], grid, mean[:n], var[:n])
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -616,14 +617,14 @@ class TestMapExport:
 
     def test_failed_target_leaves_old_or_complete_files_and_no_temp(self, tmp_path):
         maps = _export_maps(3)
-        expected = _reference_export("m", maps)
+        expected = _reference_export("m", *maps)
         blocked = "m_t1_variance.asc"
         for name in expected:
             if name != blocked:
                 (tmp_path / name).write_bytes(b"old\n")
         (tmp_path / blocked).mkdir()
         with pytest.raises(OSError):
-            write_maps(tmp_path, "m", maps)
+            write_maps(tmp_path, "m", *maps)
         assert sorted(f.name for f in tmp_path.iterdir()) == sorted(expected)
         assert (tmp_path / blocked).is_dir()
         written = {name: (tmp_path / name).read_bytes()
@@ -632,3 +633,22 @@ class TestMapExport:
         # the CSV is renamed into place only after the last map's grids
         assert written["m.csv"] == b"old\n"
         assert written["m_t0_mean.asc"] == expected["m_t0_mean.asc"]
+
+    @pytest.mark.parametrize("writer", ["csv", "export"])
+    @pytest.mark.parametrize("bad", ["mean_cells", "variance_tasks", "one_dim", "labels"])
+    def test_mis_shaped_arrays_refused_and_nothing_written(self, tmp_path, writer, bad):
+        labels, grid, mean, var = _export_maps(2)
+        if bad == "mean_cells":
+            mean = mean[:, :-1]
+        elif bad == "variance_tasks":
+            var = var[:1]
+        elif bad == "one_dim":
+            mean, var = mean[0], var[0]
+        else:
+            labels = labels + ("t2",)
+        with pytest.raises(ValueError, match="tasks x cells"):
+            if writer == "csv":
+                write_map_csv(tmp_path / "m.csv", labels, grid, mean, var)
+            else:
+                write_maps(tmp_path, "m", labels, grid, mean, var)
+        assert list(tmp_path.iterdir()) == []

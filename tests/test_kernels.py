@@ -201,6 +201,20 @@ class TestThetaPacking:
         _, _, noise = unpack_theta(theta, 1, KernelMode.ICM)
         assert noise[0] == 1e-8
 
+    @pytest.mark.parametrize(("piece", "L", "noise"), [
+        ("noise variances", np.eye(2), [np.inf, 1.0]),
+        ("noise variances", np.eye(2), [1.0, np.nan]),
+        ("noise variances", np.eye(2), [1.0, -0.1]),
+        ("factor diagonal", np.diag([1.0, np.nan]), [1.0, 1.0]),
+        ("factor diagonal", np.diag([np.inf, 1.0]), [1.0, 1.0]),
+    ], ids=["inf_noise", "nan_noise", "negative_noise", "nan_factor", "inf_factor"])
+    def test_bad_piece_refused_by_name(self, piece, L, noise):
+        # an inf or NaN here used to pass into theta (NaN <= 0 is false)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{piece} must be positive and finite"):
+                pack_theta(L, [10.0, 10.0], noise, KernelMode.CONVOLVED)
+
 
 def random_layout(rng, m, n):
     tasks = rng.integers(0, n, m)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from soilgp import gp as gp_module
 from soilgp.data import Rect, make_dataset
-from soilgp.gp import FitConfig, condition, predict_arrays, theta_from_moments
+from soilgp.gp import FitConfig, condition, predict_arrays, predict_tasks, theta_from_moments
 from soilgp.kernels import KernelMode
 from soilgp.mapping import (
     GridSpec,
@@ -83,26 +83,36 @@ class TestPredictMap:
     def test_single_cell_equals_point_predict(self):
         model = tiny_model()
         grid = GridSpec(Rect(10, 10, 20, 20), 10.0)
-        maps = predict_map(model, grid)
+        means, variances = predict_map(model, grid)
         assert grid.n_cells == 1
-        for i, pm in enumerate(maps):
+        for i in range(model.n_tasks):
             mean, var = predict_arrays(model, np.array([i]), grid.cell_centers)
-            assert pm.mean[0] == mean[0]
-            assert pm.variance[0] == var[0]
+            assert means[i, 0] == mean[0]
+            assert variances[i, 0] == var[0]
 
     def test_matches_pointwise_predict(self):
         model = tiny_model()
         grid = GridSpec(Rect(0, 0, 60, 40), 8.0)
-        maps = predict_map(model, grid, denormalize=True)
-        for i, pm in enumerate(maps):
+        means, variances = predict_map(model, grid, denormalize=True)
+        for i in range(model.n_tasks):
             mean, var = predict_arrays(
                 model,
                 np.full(grid.n_cells, i, dtype=np.intp),
                 grid.cell_centers,
                 denormalize=True,
             )
-            np.testing.assert_array_equal(pm.mean, mean)
-            np.testing.assert_array_equal(pm.variance, var)
+            np.testing.assert_array_equal(means[i], mean)
+            np.testing.assert_array_equal(variances[i], var)
+
+    @pytest.mark.parametrize("denormalize", [False, True])
+    def test_equals_predict_tasks_at_cell_centers(self, denormalize):
+        model = tiny_model()
+        grid = GridSpec(Rect(0, 0, 60, 40), 8.0)
+        got = predict_map(model, grid, denormalize=denormalize)
+        want = predict_tasks(model, range(model.n_tasks), grid.cell_centers,
+                             denormalize=denormalize)
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
 
     def test_memory_bounded_for_any_grid(self, monkeypatch):
         # numpy reports its buffers to tracemalloc; beyond its outputs,
@@ -117,12 +127,11 @@ class TestPredictMap:
             grid.cell_centers  # cached on the grid, made outside the measurement
             tracemalloc.start()
             try:
-                maps = predict_map(model, grid)
+                mean, variance = predict_map(model, grid)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            outputs = sum(pm.mean.nbytes + pm.variance.nbytes for pm in maps)
-            extra.append(peak - outputs)
+            extra.append(peak - mean.nbytes - variance.nbytes)
         assert abs(extra[1] - extra[0]) <= 16 * 1024
         assert max(extra) <= 2 * gp_module._BLOCK_BYTES
 
@@ -130,15 +139,16 @@ class TestPredictMap:
         model = tiny_model()
         grid = GridSpec(Rect(50_000.0, 50_000.0, 50_060.0, 50_040.0), 20.0)
         Kc = model.theta.task_cov()
-        for i, pm in enumerate(predict_map(model, grid)):
-            assert np.max(np.abs(pm.mean)) <= 1e-6
-            np.testing.assert_allclose(pm.variance, Kc[i, i], atol=1e-6)
+        means, variances = predict_map(model, grid)
+        for i in range(model.n_tasks):
+            assert np.max(np.abs(means[i])) <= 1e-6
+            np.testing.assert_allclose(variances[i], Kc[i, i], atol=1e-6)
 
-    def test_one_map_per_task_with_labels(self):
+    def test_one_row_per_task(self):
         model = tiny_model()
-        maps = predict_map(model, GridSpec(Rect(0, 0, 60, 40), 10.0))
-        assert [pm.label for pm in maps] == ["a", "b"]
-        assert all(pm.normalized for pm in maps)
+        grid = GridSpec(Rect(0, 0, 60, 40), 10.0)
+        mean, variance = predict_map(model, grid)
+        assert mean.shape == variance.shape == (len(model.dataset.labels), grid.n_cells)
 
 
 class TestRmse:
