@@ -401,7 +401,7 @@ def _write_asc_rows(path, grid: GridSpec, rows: list[str]):
 
 def write_asc(path, grid: GridSpec, values: np.ndarray):
     """ESRI ASCII grid: 6-line header, then rows north to south."""
-    if values.shape != (grid.n_cells,):
+    if np.shape(values) != (grid.n_cells,):
         raise ValueError("value count does not match grid")
     _write_asc_rows(path, grid, [" ".join(r) for r in _text_rows(grid, values)])
 
@@ -528,8 +528,8 @@ def write_rmse_curves(path, labels, curves: list[RmseCurves]):
     _write_lines(path, "method,task,k,rmse", (
         f"{cur.method},{lab},{k},{_fmt(v)}"
         for cur in curves
-        for i, lab in enumerate(labels)
-        for k, v in cur.curve(i)
+        for lab, column in zip(labels, cur.values.T)
+        for k, v in zip(cur.ks, column)
     ))
 
 

@@ -407,6 +407,8 @@ def pack_theta(L: np.ndarray, lengthscales, noise_vars, mode: KernelMode) -> np.
     _check_positive(np.diag(L), "factor diagonal")
     rows, cols, diag = _tril_slots(n)
     tri = L[rows, cols]
+    if not np.isfinite(tri).all():  # the diagonal is checked above
+        raise ValueError("factor strictly-lower entries must be finite")
     tri[diag] = np.log(tri[diag])
     ls = _check_positive(np.atleast_1d(lengthscales))
     nv = _check_positive(np.atleast_1d(noise_vars), "noise variances")

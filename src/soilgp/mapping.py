@@ -3,7 +3,11 @@ trajectories.
 
 The evaluation loop replays a campaign sample by sample: for each prefix
 of k samples it refits from scratch (no warm starts, so curve points are
-independent) and scores predictions against a ground-truth grid.
+independent). ``_replay`` is the one prefix loop; the RMSE curves
+(``sequential_eval``) and the correlation trajectory
+(``correlation_trajectory``) are reductions over it, so
+``eval-sequential --method mtgp`` and ``correlations --obs`` replay the
+same prefix fits.
 """
 
 from __future__ import annotations
@@ -113,9 +117,6 @@ class RmseCurves:
     ks: tuple[int, ...]
     values: np.ndarray  # (len(ks), n_tasks)
 
-    def curve(self, task: int) -> list[tuple[int, float]]:
-        return [(k, float(v)) for k, v in zip(self.ks, self.values[:, task])]
-
 
 @dataclass(frozen=True)
 class CorrelationTrajectory:
@@ -124,10 +125,6 @@ class CorrelationTrajectory:
     ks: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]  # ordered (i, j), i < j
     values: np.ndarray  # (len(ks), len(pairs))
-
-    def curve(self, i: int, j: int) -> list[tuple[int, float]]:
-        col = self.pairs.index((i, j))
-        return [(k, float(v)) for k, v in zip(self.ks, self.values[:, col])]
 
 
 def predict_map(
@@ -153,10 +150,15 @@ def rmse(predicted, truth) -> float:
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
-def _truth_scales(truth: GroundTruth) -> np.ndarray:
-    """Per-task population std of the truth values (1 where degenerate)."""
-    s = truth.values.std(axis=1)
-    return np.where(s > 0, s, 1.0)
+def _replay(data: Dataset, method: str, config: FitConfig):
+    """Yield ``(k, models)`` for k = 1…n, refit from scratch on the k-sample
+    prefix: MTGP one model of every task, STGP one single-task model per
+    task. The library's only prefix loop."""
+    if method not in EVAL_METHODS:
+        raise ValueError(f"method must be one of {EVAL_METHODS}, got {method!r}")
+    for k in range(1, data.n_samples + 1):
+        sub = prefix(data, k)
+        yield k, [fit(sub, config)] if method == "mtgp" else fit_stgp(sub, config)
 
 
 def sequential_eval(
@@ -169,43 +171,32 @@ def sequential_eval(
     """Refit on each k-sample prefix and score RMSE on the truth points.
 
     Errors are computed in raw units and, by default, divided by the
-    per-task population std of the truth values so curves are comparable
-    across tasks and across methods regardless of measurement scale.
+    per-task population std of the truth values (1 where it is 0) so
+    curves are comparable across tasks and across methods regardless of
+    measurement scale.
     """
-    if method not in EVAL_METHODS:
-        raise ValueError(f"method must be one of {EVAL_METHODS}, got {method!r}")
     if truth.n_tasks != data.n_tasks:
         raise ValueError("truth task count does not match dataset")
-    n_samples = data.n_samples
-    if n_samples < 1:
+    if data.n_samples < 1:
         raise ValueError("need at least one sample")
-    scales = _truth_scales(truth) if normalize_errors else np.ones(data.n_tasks)
-
-    ks = tuple(range(1, n_samples + 1))
-    values = np.empty((n_samples, data.n_tasks))
-    for idx, k in enumerate(ks):
-        sub = prefix(data, k)
-        # MTGP: one model of every task; STGP: one single-task model per task
-        models = [fit(sub, config)] if method == "mtgp" else fit_stgp(sub, config)
+    scales = truth.values.std(axis=1) if normalize_errors else np.ones(data.n_tasks)
+    scales = np.where(scales > 0, scales, 1.0)
+    values = np.empty((data.n_samples, data.n_tasks))
+    for k, models in _replay(data, method, config):
         pred = np.vstack([predict_tasks(m, range(m.n_tasks), truth.xy, denormalize=True)[0]
                           for m in models])
-        for i in range(data.n_tasks):
-            values[idx, i] = rmse(pred[i] / scales[i], truth.values[i] / scales[i])
-    return RmseCurves(method, ks, values)
+        values[k - 1] = [rmse(p / s, t / s) for p, t, s in zip(pred, truth.values, scales)]
+    return RmseCurves(method, tuple(range(1, data.n_samples + 1)), values)
 
 
 def correlation_trajectory(data: Dataset, config: FitConfig) -> CorrelationTrajectory:
-    """Off-diagonal task correlations refit on each k-sample prefix."""
-    n_samples = data.n_samples
-    if n_samples < 2:
+    """Off-diagonal task correlations refit on each k-sample prefix: the
+    fits of ``sequential_eval``'s MTGP replay."""
+    if data.n_samples < 2:
         raise ValueError("need at least two samples for a trajectory")
-    pairs = tuple(
-        (i, j) for i in range(data.n_tasks) for j in range(i + 1, data.n_tasks)
-    )
-    ks = tuple(range(1, n_samples + 1))
-    values = np.empty((n_samples, len(pairs)))
-    for idx, k in enumerate(ks):
-        model = fit(prefix(data, k), config)
-        corr = task_correlations(model)
-        values[idx] = [corr[i, j] for i, j in pairs]
-    return CorrelationTrajectory(ks, pairs, values)
+    rows, cols = np.triu_indices(data.n_tasks, 1)
+    values = np.empty((data.n_samples, len(rows)))
+    for k, (model,) in _replay(data, "mtgp", config):
+        values[k - 1] = task_correlations(model)[rows, cols]
+    return CorrelationTrajectory(tuple(range(1, data.n_samples + 1)),
+                                 tuple(zip(rows.tolist(), cols.tolist())), values)

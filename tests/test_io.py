@@ -30,10 +30,12 @@ from soilgp.io import (
     write_observations,
     write_plan,
     write_predictions,
+    write_rmse_curves,
+    write_trajectory,
     write_truth,
 )
 from soilgp.kernels import KernelMode
-from soilgp.mapping import GridSpec, GroundTruth
+from soilgp.mapping import CorrelationTrajectory, GridSpec, GroundTruth, RmseCurves
 from soilgp.mission import FieldBoundary, grid_plan
 from soilgp.synthetic import SyntheticField, draw_field
 
@@ -255,6 +257,15 @@ class TestAsciiGrid:
         grid = GridSpec(Rect(0, 0, 30, 20), 10.0)
         with pytest.raises(ValueError, match="does not match"):
             write_asc(tmp_path / "t.asc", grid, np.zeros(5))
+        with pytest.raises(ValueError, match="does not match"):
+            write_asc(tmp_path / "t.asc", grid, [0.0] * 5)
+
+    def test_list_writes_the_array_bytes(self, tmp_path):
+        grid = GridSpec(Rect(0, 0, 30, 20), 10.0)
+        values = [0.5, -1.25, 3.0, 1e-300, 7.0, 2.0]
+        write_asc(tmp_path / "list.asc", grid, values)
+        write_asc(tmp_path / "array.asc", grid, np.array(values))
+        assert (tmp_path / "list.asc").read_bytes() == (tmp_path / "array.asc").read_bytes()
 
 
 class TestMapCsv:
@@ -302,6 +313,30 @@ class TestPlanBoundaryFiles:
         p.write_text("ring,x_m,y_m\n1,0,0\n1,1,0\n1,0,1\n")
         with pytest.raises(ValueError, match="ring 0"):
             parse_boundary(p)
+
+
+class TestEvaluationOutputs:
+    def test_rmse_curves_rows_by_method_task_then_k(self, tmp_path):
+        curves = [RmseCurves("mtgp", (1, 2), np.array([[0.5, 0.25], [0.1, 1 / 3]])),
+                  RmseCurves("stgp", (1, 2), np.array([[1.0, 2.0], [3.0, 4.0]]))]
+        p = tmp_path / "curves.csv"
+        write_rmse_curves(p, ("a", "b"), curves)
+        assert p.read_text().splitlines() == [
+            "method,task,k,rmse",
+            "mtgp,a,1,0.5", "mtgp,a,2,0.1", "mtgp,b,1,0.25", f"mtgp,b,2,{1 / 3!r}",
+            "stgp,a,1,1.0", "stgp,a,2,3.0", "stgp,b,1,2.0", "stgp,b,2,4.0",
+        ]
+
+    def test_trajectory_rows_by_pair_then_k(self, tmp_path):
+        traj = CorrelationTrajectory((1, 2), ((0, 1), (0, 2), (1, 2)),
+                                     np.array([[0.5, -0.25, 0.0], [0.75, 0.125, -1.0]]))
+        p = tmp_path / "traj.csv"
+        write_trajectory(p, ("a", "b", "c"), traj)
+        assert p.read_text().splitlines() == [
+            "task_i,task_j,k,r",
+            "a,b,1,0.5", "a,b,2,0.75", "a,c,1,-0.25", "a,c,2,0.125",
+            "b,c,1,0.0", "b,c,2,-1.0",
+        ]
 
 
 class TestTruthAndQueries:

@@ -215,6 +215,14 @@ class TestThetaPacking:
             with pytest.raises(ValueError, match=f"^{piece} must be positive and finite"):
                 pack_theta(L, [10.0, 10.0], noise, KernelMode.CONVOLVED)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_lower_factor_entry_refused_by_name(self, entry):
+        # only the strictly-lower triangle is packed; it used to carry the
+        # NaN or inf into theta
+        with pytest.raises(ValueError, match="^factor strictly-lower entries must be finite"):
+            pack_theta([[1.0, 0.0], [entry, 1.0]], [10.0, 10.0], [1.0, 1.0],
+                       KernelMode.CONVOLVED)
+
 
 def random_layout(rng, m, n):
     tasks = rng.integers(0, n, m)

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soilgp import gp as gp_module
-from soilgp.data import Rect, make_dataset
-from soilgp.gp import FitConfig, condition, predict_arrays, predict_tasks, theta_from_moments
+from soilgp import mapping
+from soilgp.data import Rect, make_dataset, prefix
+from soilgp.gp import (
+    FitConfig,
+    condition,
+    fit,
+    predict_arrays,
+    predict_tasks,
+    task_correlations,
+    theta_from_moments,
+)
 from soilgp.kernels import KernelMode
 from soilgp.mapping import (
     GridSpec,
@@ -17,7 +27,7 @@ from soilgp.mapping import (
     rmse,
     sequential_eval,
 )
-from soilgp.synthetic import SyntheticField, draw_field
+from soilgp.synthetic import SyntheticField, draw_field, grid_locations
 
 
 def tiny_model(seed=31, n_samples=6):
@@ -205,7 +215,6 @@ class TestSequentialEval:
         assert curves.ks == (1, 2, 3, 4, 5)
         assert curves.values.shape == (5, 2)
         assert np.all(curves.values >= 0)
-        assert curves.curve(0)[0][0] == 1
 
     def test_methods_share_prefixes_and_stgp_ignores_other_tasks(self):
         ds, truth = small_campaign(seed=43)
@@ -253,9 +262,6 @@ class TestCorrelationTrajectory:
         # the field holds many correlation lengths and sampling is dense
         # enough to identify the spatial signal (80 samples, 25-30 m
         # length-scales on 300x170 m)
-        from soilgp.gp import fit, task_correlations
-        from soilgp.synthetic import grid_locations
-
         cfg = SyntheticField(
             labels=("a", "b"), variances=(1.0, 1.0),
             correlations=(), lengthscales=(25.0, 30.0),
@@ -277,10 +283,68 @@ class TestCorrelationTrajectory:
         assert len(traj.pairs) == 6  # n(n-1)/2 for n=4
         assert traj.ks == (1, 2, 3, 4)
         assert np.all(np.abs(traj.values) <= 1 + 1e-12)
-        assert traj.curve(0, 1)[0][0] == 1
+        assert traj.pairs == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
     def test_needs_two_samples(self):
         cfg = SyntheticField(n_samples=1, width=10.0, height=10.0)
         ds, _ = draw_field(cfg, 52)
         with pytest.raises(ValueError, match="two samples"):
             correlation_trajectory(ds, FAST)
+
+
+class TestOneReplay:
+    """The RMSE curves and the correlation trajectory reduce the same
+    prefix fits."""
+
+    def test_reductions_share_the_prefix_fits(self):
+        ds, truth = small_campaign(seed=46)
+        traj = correlation_trajectory(ds, FAST)
+        curves = sequential_eval(ds, truth, "mtgp", FAST)
+        scales = truth.values.std(axis=1)
+        upper = np.triu_indices(ds.n_tasks, 1)
+        for k in range(1, ds.n_samples + 1):
+            model = fit(prefix(ds, k), FAST)
+            np.testing.assert_array_equal(traj.values[k - 1], task_correlations(model)[upper])
+            mean, _ = predict_tasks(model, range(ds.n_tasks), truth.xy, denormalize=True)
+            np.testing.assert_array_equal(curves.values[k - 1], [
+                rmse(mean[i] / scales[i], truth.values[i] / scales[i])
+                for i in range(ds.n_tasks)
+            ])
+
+    @pytest.mark.parametrize("bad", ["method", "truth", "samples"])
+    def test_inputs_checked_before_any_fit(self, monkeypatch, bad):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the inputs were checked")
+
+        monkeypatch.setattr(mapping, "fit", no_fit)
+        monkeypatch.setattr(mapping, "fit_stgp", no_fit)
+        ds, truth = small_campaign()
+        if bad == "method":
+            with pytest.raises(ValueError, match="method must be one of"):
+                sequential_eval(ds, truth, "kriging", FAST)
+        elif bad == "truth":
+            for method in ("mtgp", "stgp"):
+                with pytest.raises(ValueError, match="task count"):
+                    sequential_eval(ds, GroundTruth(truth.xy, truth.values[:1]), method, FAST)
+        else:
+            with pytest.raises(ValueError, match="two samples"):
+                correlation_trajectory(prefix(ds, 1), FAST)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="under the default convolved kernel the fit stops in the kernel's "
+    "indefinite region, and prediction clamps negative variances",
+)
+def test_campaign_replay_fit_clamps_no_variance(caplog):
+    # the campaign design at seed 1 (30 samples on the 300 x 170 m grid,
+    # 20 x 20 truth grid), its k = 8 replay fit with the replay's settings
+    field = SyntheticField(noise_vars=(0.0025,) * 4)
+    gx, gy = np.meshgrid((np.arange(20) + 0.5) * field.width / 20,
+                         (np.arange(20) + 0.5) * field.height / 20)
+    ds, truth = draw_field(field, 1, truth_xy=np.column_stack([gx.ravel(), gy.ravel()]),
+                           locations=grid_locations(field))
+    model = fit(prefix(ds, 8), FitConfig(restarts=4, max_iters=120, seed=1))
+    with caplog.at_level(logging.DEBUG, logger="soilgp.gp"):
+        predict_tasks(model, range(model.n_tasks), truth.xy)
+    assert not [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()]
