@@ -187,7 +187,7 @@ def _cmd_predict(args):
 
 
 def _parse_bounds(raw) -> Rect:
-    parts = [float(v) for v in raw.split(",")]
+    parts = [_number("bounds", v) for v in raw.split(",")]
     if len(parts) != 4:
         raise ValueError("bounds must be xmin,ymin,xmax,ymax")
     return Rect(*parts)

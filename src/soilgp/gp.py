@@ -23,7 +23,6 @@ from scipy.linalg.lapack import dpotrs, dsyevd
 
 from .data import Dataset, NormStats, Observation, make_dataset, normalize
 from .kernels import (
-    JITTER_LADDER,
     NOISE_FLOOR,
     KernelMode,
     NumericFailure,
@@ -134,10 +133,9 @@ class FittedModel:
     dataset: Dataset  # values in normalized units
     stats: NormStats
     layout: _Layout  # the training rows' slots, which prediction gathers through
-    chol_factor: np.ndarray  # lower Cholesky of K + Σ (+ jitter)
+    chol_factor: np.ndarray  # lower Cholesky of K + Σ
     alpha: np.ndarray  # (K + Σ)⁻¹ y
     lml: float
-    jitter: float
     restart_lmls: tuple[float, ...] = field(default=())
 
     @property
@@ -147,6 +145,10 @@ class FittedModel:
     @property
     def noise_floor(self) -> float:
         return NOISE_FLOOR
+
+    @property
+    def jitter(self) -> float:
+        return 0.0  # the factor is of K + Σ itself
 
     @property
     def mode(self) -> KernelMode:
@@ -181,26 +183,24 @@ class _Problem:
         self._work = None  # the gradient's M×M workspaces
 
     def value(self, theta_vec):
-        """(lml, state), or (REJECTED, None). The state holds the Cholesky
-        factor, the jitter, α = K⁻¹y and what :meth:`gradient` reuses."""
+        """(lml, state), or (REJECTED, None) when K fails its one
+        factorization. The state holds the Cholesky factor, α = K⁻¹y and
+        what :meth:`gradient` reuses."""
         try:
             _check_theta(theta_vec)
             L, ls, noise = _unpack(theta_vec, self.n_tasks, self.n_ls, NOISE_FLOOR)
             Kce = (L @ L.T).take(self.pair)  # Kc[t_p, t_q] for every entry
             S, dS = _joint_cov(self.layout, self.blocks, None, ls, dl=True)
-            diag = noise[self.tasks]
-            def build():
-                K = Kce * S
-                K.reshape(-1)[:: self.m + 1] += diag  # the diagonal
-                return K.T  # K is bitwise symmetric: this is K in Fortran order
-            Lf, jitter = _chol_in_place(build, JITTER_LADDER)
+            K = Kce * S
+            K.reshape(-1)[:: self.m + 1] += noise[self.tasks]  # the diagonal
+            Lf = _chol_in_place(K.T)  # K is bitwise symmetric: K.T is K in Fortran order
         except NumericFailure:
             return REJECTED, None
         alpha, lml = _solve(Lf, self.y)
-        return lml, (Lf, jitter, alpha, (S, dS, L, Kce, ls))
+        return lml, (Lf, alpha, (S, dS, L, Kce, ls))
 
     def gradient(self, state, theta_vec):
-        Lf, _, alpha, (S, dS, L, Kce, ls) = state
+        Lf, alpha, (S, dS, L, Kce, ls) = state
         n = self.n_tasks
         t = self.tasks
         if self._work is None:
@@ -309,7 +309,7 @@ class _KroneckerProblem:
             Ks, dKs = np.empty((2, self.m, self.m))  # the one-task table
             cross_cov_table(self.r, (0,), None, ls, Ks[None, None], dKs[None, None])
             s, V = _eigh(Ks)
-            d, w, lam, U, G = _whitened_eigh(Kc, noise, s)
+            w, lam, U, G = _whitened_eigh(Kc, noise, s)
         except (NumericFailure, np.linalg.LinAlgError):
             return REJECTED, None
         P = U * w[:, None]
@@ -319,7 +319,7 @@ class _KroneckerProblem:
         alpha = _dot(_dot(P, Y), V.T)
         lml = (
             -0.5 * np.sum(self.y * alpha)
-            - 0.5 * (np.log(G).sum() + self.m * np.log(d).sum())
+            - 0.5 * (np.log(G).sum() + self.m * np.log(noise).sum())
             - 0.5 * self.y.size * LOG_2PI
         )
         return lml, (L, Kc, ls, Ks, dKs, s, V, lam, P, Ginv, alpha)
@@ -370,28 +370,25 @@ def _eigh(a):
 
 
 def _whitened_eigh(Kc, noise, s):
-    """(d, d^{-½}, Λ, U, G) of the first rung of the jitter ladder whose
-    whitening d = noise + jitter leaves every G = λ sᵀ + 1 positive, the
-    Kronecker form of the dense path's Cholesky of K + jitter·I.
+    """(d^{-½}, Λ, U, G) of the task covariance whitened by the noise d,
+    D^{-½} Kc D^{-½} = U Λ Uᵀ, with G = λ sᵀ + 1; NumericFailure unless
+    every G is positive, the Kronecker form of the dense path's Cholesky
+    of K.
 
     Under ICM the exact K is positive definite for any positive noise, so
     either path rejects only from rounding, and near such a point the two
     can decide differently: the whitened G keeps a 1e-8 noise that the
     dense Cholesky loses against a task covariance of ~1e25."""
-    for jitter in JITTER_LADDER:
-        d = noise + jitter
-        w = 1.0 / np.sqrt(d)
-        white = Kc * np.outer(w, w)
-        if not np.all(np.isfinite(white)):
-            raise NumericFailure("covariance contains non-finite entries")
-        lam, U = _eigh(white)
-        G = np.outer(lam, s)
-        G += 1.0
-        if np.all(G > 0):
-            return d, w, lam, U, G
-    raise NumericFailure(
-        f"covariance not positive definite after jitter {JITTER_LADDER[-1]:g}"
-    )
+    w = 1.0 / np.sqrt(noise)
+    white = Kc * np.outer(w, w)
+    if not np.all(np.isfinite(white)):
+        raise NumericFailure("covariance contains non-finite entries")
+    lam, U = _eigh(white)
+    G = np.outer(lam, s)
+    G += 1.0
+    if not np.all(G > 0):
+        raise NumericFailure("covariance not positive definite")
+    return w, lam, U, G
 
 
 def _objective(dataset: Dataset, mode: KernelMode):
@@ -414,7 +411,7 @@ def _check_tasks(theta: HyperParams, dataset: Dataset):
 
 def log_marginal_likelihood(theta: HyperParams, dataset: Dataset) -> float:
     """Log evidence of the data under theta; −inf when the covariance is
-    rejected (its factorization fails at every rung of the jitter ladder).
+    rejected (it is not finite, or its one factorization fails).
     Homotopic ICM data of two or more tasks is evaluated on the Kronecker
     eigen-path, which agrees with the dense one to rounding."""
     _check_tasks(theta, dataset)
@@ -529,7 +526,7 @@ def _build_model(norm_ds, stats, theta, restart_lmls) -> FittedModel:
     L, ls, noise = theta.unpack()
     t = norm_ds.task_index
     layout = _Layout(t, norm_ds.xy, theta.n_tasks)
-    Lf, jitter = _joint_chol(layout, L @ L.T, ls, noise[t], JITTER_LADDER)
+    Lf = _joint_chol(layout, L @ L.T, ls, noise[t])
     alpha, lml = _solve(Lf, norm_ds.values)
     Lf.flags.writeable = False
     alpha.flags.writeable = False
@@ -541,7 +538,6 @@ def _build_model(norm_ds, stats, theta, restart_lmls) -> FittedModel:
         chol_factor=Lf,
         alpha=alpha,
         lml=lml,
-        jitter=jitter,
         restart_lmls=restart_lmls,
     )
 

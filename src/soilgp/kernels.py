@@ -19,8 +19,8 @@ observed at planar locations:
   in the plane it is not in general. Unequal length-scales on strongly
   correlated tasks can give a joint matrix with negative eigenvalues on
   dense layouts (two tasks at 40 and 80 m with correlation 0.95 on a
-  15 × 15 grid at 10 m spacing: about −0.16), which the Cholesky's
-  jitter ladder then rejects.
+  15 × 15 grid at 10 m spacing: about −0.16), which the Cholesky then
+  rejects.
 
 Every covariance the package evaluates comes from one kernel table,
 :func:`cross_cov_table`, over the distinct locations: the dense
@@ -54,7 +54,6 @@ __all__ = [
     "KernelMode",
     "NumericFailure",
     "NOISE_FLOOR",
-    "JITTER_LADDER",
     "matern32",
     "matern32_dl",
     "cross_matern32",
@@ -71,9 +70,6 @@ SQRT3 = np.sqrt(3.0)
 
 # Default floor on per-task noise variance (normalized units squared).
 NOISE_FLOOR = 1e-8
-
-# Escalation sequence tried before a covariance is declared non-PSD.
-JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8)
 
 # Relative length-scale difference below which the cross kernel switches
 # to its equal-length-scale limit (the plain Matérn at the smaller
@@ -103,7 +99,7 @@ class KernelMode(enum.Enum):
 
 
 class NumericFailure(RuntimeError):
-    """Covariance factorization failed after the full jitter ladder."""
+    """A covariance is not finite, or its one Cholesky factorization failed."""
 
 
 def _check_positive(v, name: str = "length-scale") -> np.ndarray:
@@ -508,21 +504,18 @@ def assemble_training_cov(
     return K
 
 
-def chol_with_jitter(
-    K: np.ndarray, ladder: tuple[float, ...] = JITTER_LADDER
-) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K, escalating diagonal jitter on failure.
+def chol_with_jitter(K: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of K + jitter·I, in one attempt.
 
-    Returns (L, jitter_used). Raises :class:`NumericFailure` once the
-    ladder is exhausted or the matrix is not finite; callers inside the
-    optimizer treat that as a rejected hyperparameter draw, not a crash.
-    K is left untouched: each rung factors, in place, one Fortran-ordered
-    copy of K with the jitter added to its diagonal, which is bitwise
-    ``K + jitter * np.eye(M)`` without that sum's three M×M temporaries.
+    Returns (L, jitter). Raises :class:`NumericFailure` when K + jitter·I
+    is not finite or not positive definite. K is left untouched: one
+    Fortran-ordered copy of K with the jitter added to its diagonal is
+    factored in place, which is bitwise ``K + jitter * np.eye(M)`` without
+    that sum's three M×M temporaries.
     """
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"covariance must be square, got shape {K.shape}")
-    return _chol_in_place(lambda: np.array(K, order="F"), ladder)
+    return _chol_in_place(np.array(K, order="F"), jitter), jitter
 
 
 # Byte budget for the finiteness flags of one column slice in
@@ -531,38 +524,32 @@ def chol_with_jitter(
 _CHECK_BYTES = 1 << 20
 
 
-def _chol_in_place(build, ladder):
-    """:func:`chol_with_jitter` of the new Fortran-ordered array ``build``
-    returns per rung, factored in its own memory. A failed rung drops its
-    array, which potrf overwrote, before the next rung builds K again.
-    Finiteness is checked over contiguous column slices of K, with about
-    ``_CHECK_BYTES`` of flags at a time, so K is the one N×N array held."""
-    for jitter in ladder:
-        K = build()
-        step = max(1, _CHECK_BYTES // max(len(K), 1))  # columns per slice
-        for s in range(0, len(K), step):
-            if not np.isfinite(K[:, s : s + step]).all():
-                raise NumericFailure("covariance contains non-finite entries")
-        if jitter != 0.0:
-            K.T.reshape(-1)[:: K.shape[0] + 1] += jitter  # the diagonal
-        # the LAPACK call of scipy.linalg.cholesky(K, lower=True), without
-        # its argument handling, which cost more than the factorization
-        # itself at M = 12
-        Lf, info = dpotrf(K, lower=1, clean=1, overwrite_a=1)
-        if info == 0:
-            return Lf, jitter
-        del K, Lf
-    raise NumericFailure(
-        f"covariance not positive definite after jitter {ladder[-1]:g}"
-    )
+def _chol_in_place(K, jitter=0.0):
+    """The lower Cholesky factor of the Fortran-ordered K plus ``jitter``
+    on its diagonal, factored once in K's own memory. Finiteness is
+    checked, after the jitter is added, over contiguous column slices of
+    K, with about ``_CHECK_BYTES`` of flags at a time, so K is the one N×N
+    array held."""
+    if jitter != 0.0:
+        K.T.reshape(-1)[:: len(K) + 1] += jitter  # the diagonal
+    step = max(1, _CHECK_BYTES // max(len(K), 1))  # columns per slice
+    for s in range(0, len(K), step):
+        if not np.isfinite(K[:, s : s + step]).all():
+            raise NumericFailure("covariance contains non-finite entries")
+    # the LAPACK call of scipy.linalg.cholesky(K, lower=True), without
+    # its argument handling, which cost more than the factorization
+    # itself at M = 12
+    Lf, info = dpotrf(K, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise NumericFailure("covariance not positive definite")
+    return Lf
 
 
-def _joint_chol(layout, task_cov_matrix, lengthscales, diag, ladder):
-    """:func:`chol_with_jitter` of the layout's joint covariance plus ``diag``
-    on its diagonal, in one M×M array: K is bitwise symmetric, so its
-    transpose view is the Fortran-ordered K that LAPACK factors in place."""
-    def build():
-        (K,) = _joint_cov(layout, layout.blocks(), task_cov_matrix, lengthscales)
-        K.reshape(-1)[:: len(K) + 1] += diag
-        return K.T
-    return _chol_in_place(build, ladder)
+def _joint_chol(layout, task_cov_matrix, lengthscales, diag, jitter=0.0):
+    """The lower Cholesky factor of the layout's joint covariance plus
+    ``diag`` and ``jitter`` on its diagonal, in one M×M array: K is bitwise
+    symmetric, so its transpose view is the Fortran-ordered K that LAPACK
+    factors in place."""
+    (K,) = _joint_cov(layout, layout.blocks(), task_cov_matrix, lengthscales)
+    K.reshape(-1)[:: len(K) + 1] += diag
+    return _chol_in_place(K.T, jitter)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset, Location, Observation, _sample_ids, check_labels, make_dataset
 from .gp import HyperParams, _check_seed, _positive_finite, theta_from_moments
-from .kernels import JITTER_LADDER, KernelMode, _joint_chol, _Layout
+from .kernels import KernelMode, _joint_chol, _Layout
 from .mapping import GroundTruth
 
 __all__ = [
@@ -32,6 +32,10 @@ __all__ = [
 # such square, the joint covariance factored in place, and a 3,600-point
 # draw peaked at 171 MB resident, 57 MB of it the imports (2 vCPU Xeon).
 MAX_DRAW_POINTS = 3600
+
+# The noiseless draw's diagonal jitter: without noise its covariance is
+# singular where points coincide and ill-conditioned where they nearly do.
+_DRAW_JITTER = 1e-10
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,9 @@ def draw_field(
     is dense, so more than ``MAX_DRAW_POINTS`` (samples + truth points) ×
     tasks is refused with ValueError before anything that size is built.
     The joint covariance is assembled in row blocks of the kernel table
-    and factored in place with a jitter of at least 1e-10, as every fitted
-    model's is (:func:`kernels._joint_chol`): the draw holds one N×N array.
+    and factored in place, as every fitted model's is
+    (:func:`kernels._joint_chol`), with a jitter of 1e-10 on its noiseless
+    diagonal: the draw holds one N×N array.
     A negative ``seed`` is refused with ValueError, as a fit's is.
     """
     rng = np.random.default_rng(_check_seed(seed))
@@ -180,7 +185,7 @@ def draw_field(
         )
 
     layout = _Layout(all_tasks, all_xy, n)
-    Lf, _ = _joint_chol(layout, L_task @ L_task.T, ls, 0.0, JITTER_LADDER[1:])
+    Lf = _joint_chol(layout, L_task @ L_task.T, ls, 0.0, _DRAW_JITTER)
     latent = Lf @ rng.standard_normal(len(all_tasks))
 
     noise_std = np.sqrt(np.asarray(cfg.noise_vars))

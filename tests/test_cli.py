@@ -138,6 +138,16 @@ class TestNonFiniteInputs:
         assert code == EXIT_DATA
         assert "finite" in err
 
+    def test_map_bounds_not_a_number(self, capsys, tmp_path, fitted):
+        obs, model = fitted
+        code, _, err = run(
+            capsys, "map", "--model", str(model), "--obs", str(obs),
+            "--out-dir", str(tmp_path / "maps"), "--bounds", "0,0,x,10",
+        )
+        assert code == EXIT_DATA
+        assert "bounds must be a number, got 'x'" in err
+        assert not (tmp_path / "maps").exists()
+
     def test_synth_truth_grid_width(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--out", str(tmp_path / "o.csv"), "--width", "inf",

@@ -50,17 +50,13 @@ from soilgp.synthetic import SyntheticField, draw_field, prior_theta
 
 
 def spy_objective_factor(monkeypatch, record):
-    """Pass each matrix the dense objective factors to ``record`` as it is
-    built, before the factorization overwrites it: the objective hands
-    ``_chol_in_place`` a build function, which the spy wraps."""
+    """Pass each matrix the dense objective factors to ``record`` before
+    the factorization overwrites it."""
     factor = gp_module._chol_in_place
 
-    def chol_spy(build, ladder):
-        def build_spy():
-            K = build()
-            record(K)
-            return K
-        return factor(build_spy, ladder)
+    def chol_spy(K, jitter=0.0):
+        record(K)
+        return factor(K, jitter)
 
     monkeypatch.setattr(gp_module, "_chol_in_place", chol_spy)
 
@@ -225,7 +221,7 @@ class TestObjectiveCovariance:
 def dense_reference(theta, ds, noise_floor=gp_module.NOISE_FLOOR):
     """The dense objective written out from the public kernels and scipy's
     cholesky and cho_solve, in the library's order of operations:
-    (lml, gradient, Cholesky factor, α). Valid where no jitter is needed."""
+    (lml, gradient, Cholesky factor, α), where K factors."""
     n, mode, t, y = theta.n_tasks, theta.mode, ds.task_index, ds.values
     L, ls, noise = theta.unpack(noise_floor)
     Kc = L @ L.T
@@ -303,11 +299,10 @@ class TestDenseObjectiveBitwise:
             assert ls[0] != ls[1] and abs(ls[0] - ls[1]) <= 1e-4 * max(ls[:2])
         lml, state, grad = self.evaluate(gp_module._Problem(ds, theta.mode), theta)
         ref_lml, ref_grad, ref_Lf, ref_alpha = dense_reference(theta, ds)
-        assert state[1] == 0.0  # no jitter, as the reference assumes
         assert lml == ref_lml
         assert np.array_equal(grad, ref_grad)
         assert np.array_equal(state[0], ref_Lf)
-        assert np.array_equal(state[2], ref_alpha)
+        assert np.array_equal(state[1], ref_alpha)
 
     @pytest.mark.parametrize("name", [
         "homotopic_4", "heterotopic", "one_task", "dense_icm", "in_band",
@@ -328,7 +323,7 @@ class TestDenseObjectiveBitwise:
         theta2 = HyperParams(theta1.values + 0.2, theta1.n_tasks, theta1.mode)
         prob = gp_module._Problem(ds, theta1.mode)
         lml1, state1 = prob.value(theta1.values)
-        kept = [state1[0].copy(), state1[2].copy()]
+        kept = [state1[0].copy(), state1[1].copy()]
         lml2, state2, grad2 = self.evaluate(prob, theta2)
         grad1 = prob.gradient(state1, theta1.values)
         for theta, lml, grad in ((theta1, lml1, grad1), (theta2, lml2, grad2)):
@@ -336,7 +331,7 @@ class TestDenseObjectiveBitwise:
             assert lml == ref_lml
             assert np.array_equal(grad, ref_grad)
         assert np.array_equal(state1[0], kept[0])
-        assert np.array_equal(state1[2], kept[1])
+        assert np.array_equal(state1[1], kept[1])
 
     def test_model_unchanged_by_later_evaluations(self):
         ds, theta = self.case("heterotopic")
@@ -530,6 +525,54 @@ class TestKroneckerPath:
         assert built == []  # the model factors its covariance without one
         assert model.lml == pytest.approx(
             log_marginal_likelihood(model.theta, model.dataset), abs=1e-8)
+
+
+class TestOneFactorization:
+    """A covariance that fails its Cholesky is refused after that one
+    attempt: the dense objective rejects the proposal, and a model build
+    raises NumericFailure, each having built and factored K once."""
+
+    @staticmethod
+    def indefinite_case():
+        # TestKroneckerPath's indefinite task factor on a dense CONVOLVED
+        # layout (6 rows) whose covariance fails to factor
+        ds, theta = homotopic_instance(700, 2, mode=KernelMode.CONVOLVED)
+        v = np.zeros_like(theta.values)
+        v[:3] = TestKroneckerPath.INDEFINITE
+        v[3:5] = 200.0  # both log length-scales: the kernel is constant
+        v[5:] = np.log(1e-8)
+        return ds, HyperParams(v, 2, KernelMode.CONVOLVED)
+
+    @staticmethod
+    def count(monkeypatch, module, name, calls):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_rejected_dense_proposal(self, monkeypatch):
+        ds, theta = self.indefinite_case()
+        factored, calls = [], []
+        spy_objective_factor(monkeypatch, lambda K: factored.append(K.shape))
+        self.count(monkeypatch, gp_module, "_joint_cov", calls)
+        self.count(monkeypatch, kernels, "dpotrf", calls)
+        prob = gp_module._objective(ds, theta.mode)
+        assert isinstance(prob, gp_module._Problem)
+        assert prob.value(theta.values) == (gp_module.REJECTED, None)
+        assert factored == [(6, 6)]
+        assert calls == ["_joint_cov", "dpotrf"]
+
+    def test_condition_raises_after_one_factorization(self, monkeypatch):
+        ds, theta = self.indefinite_case()
+        calls = []
+        for name in ("_joint_cov", "_chol_in_place", "dpotrf"):
+            self.count(monkeypatch, kernels, name, calls)
+        with pytest.raises(gp_module.NumericFailure, match="not positive definite"):
+            condition(ds, theta)
+        assert calls == ["_joint_cov", "_chol_in_place", "dpotrf"]
 
 
 class TestFit:
@@ -1070,12 +1113,9 @@ class TestSamplePrior:
         factored, tables = [], []
         factor = kernels._chol_in_place
 
-        def chol_spy(build, ladder):
-            def build_spy():  # each matrix the draw factors, as it is built
-                K = build()
-                factored.append(K.copy())
-                return K
-            return factor(build_spy, ladder)
+        def chol_spy(K, jitter=0.0):  # each matrix the draw factors, before its jitter
+            factored.append(K.copy())
+            return factor(K, jitter)
 
         def table_spy(*args):
             tables.append(args[0].shape)

@@ -1,5 +1,4 @@
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from scipy.spatial.distance import cdist
 from conftest import ULP_LENGTHSCALE, assemble_cross_cov, naive_cov, traced_squares
 from soilgp import kernels
 from soilgp.kernels import (
-    JITTER_LADDER,
     KernelMode,
     NumericFailure,
     _joint_chol,
@@ -155,7 +153,7 @@ class TestTaskCov:
         np.fill_diagonal(L, rng.uniform(0.1, 3, n))
         Kc = packed_task_cov(L)
         np.testing.assert_allclose(Kc, Kc.T, atol=1e-12)
-        chol_with_jitter(Kc + 1e-10 * np.eye(n), (0.0,))  # must not raise
+        chol_with_jitter(Kc + 1e-10 * np.eye(n))  # must not raise
 
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
@@ -586,55 +584,48 @@ class TestCholWithJitter:
         with pytest.raises(NumericFailure):
             chol_with_jitter(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("jitter", [np.nan, np.inf])
+    def test_rejects_non_finite_jitter(self, jitter):
+        # the jitter is added before the finiteness check, which sees it
+        with pytest.raises(NumericFailure, match="non-finite entries"):
+            chol_with_jitter(np.eye(3), jitter)
+
     def test_finiteness_flags_stay_within_a_slice_budget(self):
         # N = 1,720, the size of the benchmark's campaign draw: factoring
         # holds the N×N covariance and one column slice of finiteness flags,
         # about 1 MiB. One N²-byte array of flags added 2.8 MB instead.
         n = 1720
-        (L, jitter), peak, _ = traced_squares(
-            lambda: kernels._chol_in_place(lambda: np.eye(n).T, (0.0,)), n)
-        assert jitter == 0.0
+        L, peak, _ = traced_squares(lambda: kernels._chol_in_place(np.eye(n).T), n)
         assert np.array_equal(L, np.eye(n))
         assert (peak - 1.0) * n * n * 8 <= 1.5 * 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("rung", range(len(JITTER_LADDER)))
-    def test_non_finite_refused_in_every_slice_at_every_rung(self, monkeypatch, rung,
-                                                             bad):
-        # −I fails at every rung, so the ladder builds K again each time;
-        # the rung-th build puts one non-finite entry in column ``col``, and
-        # with 16 bytes of flags a slice is two of the eight columns.
+    def test_non_finite_refused_in_every_slice(self, monkeypatch, bad):
+        # One non-finite entry in column ``col`` of the positive definite
+        # I; with 16 bytes of flags a slice is two of the eight columns.
         monkeypatch.setattr(kernels, "_CHECK_BYTES", 16)
         n = 8
         for col in range(n):
-            builds = []
-
-            def build():
-                K = -np.eye(n).T
-                if len(builds) == rung:
-                    K[(col + 3) % n, col] = bad
-                builds.append(K)
-                return K
-
+            K = np.eye(n).T
+            K[(col + 3) % n, col] = bad
             with pytest.raises(NumericFailure, match="non-finite entries"):
-                kernels._chol_in_place(build, JITTER_LADDER)
-            assert len(builds) == rung + 1
+                kernels._chol_in_place(K)
 
-    @pytest.mark.parametrize("case", ["first_rung", "after_a_failed_rung"])
-    def test_jittered_rung_bitwise_scipy(self, case):
-        # K + jitter·I through scipy's cholesky, with K left untouched. The
-        # all-ones matrix fails without jitter (its second pivot is exactly
-        # 0), so the 1e-9 rung factors a fresh copy, not the failed one.
-        if case == "first_rung":
-            a = np.random.default_rng(4).standard_normal((30, 30))
-            K, ladder = a @ a.T, (1e-9,)
-        else:
-            K, ladder = np.ones((5, 5)), (0.0, 1e-9)
+    def test_jittered_factor_bitwise_scipy(self):
+        # K + jitter·I through scipy's cholesky, with K left untouched
+        a = np.random.default_rng(4).standard_normal((30, 30))
+        K = a @ a.T
         before = K.copy()
-        L, jitter = chol_with_jitter(K, ladder)
+        L, jitter = chol_with_jitter(K, 1e-9)
         assert jitter == 1e-9
         assert np.array_equal(L, cholesky(K + 1e-9 * np.eye(len(K)), lower=True))
         assert np.array_equal(K, before)
+
+    def test_one_attempt(self):
+        # The all-ones matrix's second pivot is exactly 0: it fails without
+        # jitter, and one factorization is all it gets
+        with pytest.raises(NumericFailure, match="not positive definite"):
+            chol_with_jitter(np.ones((5, 5)))
 
     @staticmethod
     def one_location(tasks):
@@ -643,28 +634,8 @@ class TestCholWithJitter:
         tasks = np.asarray(tasks, dtype=np.intp)
         return _Layout(tasks, np.zeros((len(tasks), 2)), int(tasks.max()) + 1)
 
-    def test_joint_factor_after_a_failed_rung(self, monkeypatch):
-        # The all-ones K fails without jitter. Its factorization overwrote
-        # it, so the 1e-9 rung builds K again, after the failed rung's
-        # array is gone: one M×M array is held at a time.
-        built = []
-
-        def spy(*args, **kwargs):
-            assert all(ref() is None for ref in built)
-            outs = _joint_cov(*args, **kwargs)
-            built.append(weakref.ref(outs[0]))
-            return outs
-
-        monkeypatch.setattr(kernels, "_joint_cov", spy)
-        L, jitter = _joint_chol(self.one_location([0] * 5), np.ones((1, 1)), [10.0], 0.0,
-                                (0.0, 1e-9))
-        assert jitter == 1e-9
-        assert len(built) == 2
-        assert np.array_equal(L, cholesky(np.ones((5, 5)) + 1e-9 * np.eye(5), lower=True))
-
     @pytest.mark.parametrize("kc", [[[1.0, 2.0], [2.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]],
                              ids=["indefinite", "non_finite"])
     def test_joint_factor_refuses(self, kc):
         with pytest.raises(NumericFailure):
-            _joint_chol(self.one_location([0, 1]), np.array(kc), [10.0], 0.0,
-                        JITTER_LADDER)
+            _joint_chol(self.one_location([0, 1]), np.array(kc), [10.0], 0.0)
