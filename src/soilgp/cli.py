@@ -12,10 +12,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .data import Rect, check_labels
-from .gp import (
-    FitConfig, NumericFailure, _positive_finite, correlation_matrix, fit, predict_arrays,
-)
+from .data import Rect, _check_positive, check_labels
+from .gp import FitConfig, NumericFailure, correlation_matrix, fit, predict_arrays
 from .io import (
     SETTING_PARSERS,
     RunConfig,
@@ -245,7 +243,7 @@ def _number(what, raw):
 
 
 def _comma_floats(raw, n, what):
-    vals = [_positive_finite(what, _number(what, v)) for v in raw.split(",")]
+    vals = [float(_check_positive(_number(what, v), what)) for v in raw.split(",")]
     if len(vals) == 1:
         vals = vals * n
     if len(vals) != n:

@@ -62,8 +62,10 @@ def _sample_ids(count: int) -> list[str]:
     return [f"S{j:0{max(2, len(str(count)))}d}" for j in range(1, count + 1)]
 
 
-# The task-label rule of observation files: check_labels applies it to a
-# whole set, for make_dataset and for io.parse_observations as it reads.
+# Two input rules, each written once here, where no scipy is imported: the
+# task-label rule, which check_labels applies for make_dataset and for
+# io.parse_observations as it reads, and _check_positive, the rule of every
+# quantity that must be positive and finite.
 MAX_TASK_LABELS = 16
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
@@ -78,6 +80,15 @@ def check_labels(labels) -> None:
         raise ValueError(f"more than {MAX_TASK_LABELS} task labels")
     if len(set(labels)) != len(labels):
         raise ValueError("task labels must be unique")
+
+
+def _check_positive(v, name: str) -> np.ndarray:
+    """``v`` as a float array, or ValueError naming ``name`` and ``v``
+    unless every entry is positive and finite."""
+    a = np.asarray(v, dtype=float)
+    if not ((a > 0) & np.isfinite(a)).all():  # also false for NaN
+        raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    return a
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 # cho_solve is no longer called here (the objective calls LAPACK's potrs
 # directly), but bench/tracing.py patches it in this module by name.
-from scipy.linalg import cho_solve, cholesky as scipy_cholesky, solve_triangular  # noqa: F401
+from scipy.linalg import cho_solve, solve_triangular  # noqa: F401
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrs, dsyevd
 
-from .data import Dataset, NormStats, Observation, make_dataset, normalize
+from .data import Dataset, NormStats, Observation, _check_positive, make_dataset, normalize
 from .kernels import (
     NOISE_FLOOR,
     KernelMode,
@@ -31,9 +31,10 @@ from .kernels import (
     _joint_cov,
     _Layout,
     _cdist as cdist,  # under scipy's name, which bench/tracing.py patches here
-    _check_positive,
+    _task_rows,
     _tril_slots,
     _unpack,
+    chol_with_jitter,
     cross_cov_table,
     pack_theta,
     unpack_theta,
@@ -102,7 +103,7 @@ class FitConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        _positive_finite("tol", self.tol)
+        _check_positive(self.tol, "tol")
         _check_seed(self.seed)
 
 
@@ -112,13 +113,6 @@ def _check_seed(seed):
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
-
-
-def _positive_finite(name: str, v):
-    """``v``, or ValueError naming ``name`` unless it is positive and finite."""
-    if not (np.isfinite(v) and v > 0):
-        raise ValueError(f"{name} must be positive and finite, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -547,16 +541,6 @@ def _build_model(norm_ds, stats, theta, restart_lmls) -> FittedModel:
 # ---------------------------------------------------------------------------
 
 
-def _task_rows(tasks, n: int) -> np.ndarray:
-    """``tasks`` as intp, or ValueError unless each is an integer id of the n tasks."""
-    ids = np.asarray(tasks)
-    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-        raise ValueError(f"task ids must be a sequence of integers, got {ids!r}")
-    if np.any((ids < 0) | (ids >= n)):
-        raise ValueError(f"unknown task id in queries (model has {n} tasks)")
-    return ids.astype(np.intp)
-
-
 def predict_arrays(
     model: FittedModel,
     q_tasks: np.ndarray,
@@ -725,14 +709,16 @@ def theta_from_moments(
     mode: KernelMode,
 ) -> HyperParams:
     """Packed theta from interpretable pieces: per-task variances, an
-    inter-task correlation matrix, length-scales, noise variances."""
+    inter-task correlation matrix, length-scales, noise variances.
+    NumericFailure when Kc + 1e-12·I is not positive definite."""
     var = _check_positive(np.atleast_1d(variances), "variances")  # before the √
     corr = np.asarray(correlations, dtype=float)
     n = len(var)
     if corr.shape != (n, n):
         raise ValueError(f"correlation matrix must be {n}x{n}")
+    if not np.isfinite(corr).all():
+        raise ValueError(f"correlations must be finite, got {corr.tolist()}")
     d = np.sqrt(var)
-    Kc = corr * np.outer(d, d)
-    L = scipy_cholesky(Kc + 1e-12 * np.eye(n), lower=True)
+    L, _ = chol_with_jitter(corr * np.outer(d, d), 1e-12)
     packed = pack_theta(L, lengthscales, noise_vars, mode)
     return HyperParams(packed, n, mode)

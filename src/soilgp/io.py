@@ -62,7 +62,10 @@ def _write_lines(path, header: str, lines):
     temp file beside ``path``, then rename it over ``path``. On any
     failure the temp file is removed and ``path`` is left as it was."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    except OSError as e:  # its message names the random temp file, not ``path``
+        raise OSError(e.errno, f"cannot write {path} in {path.parent}: {e.strerror}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             f.write(header + "\n")

@@ -50,6 +50,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
+from .data import _check_positive
+
 __all__ = [
     "KernelMode",
     "NumericFailure",
@@ -102,16 +104,9 @@ class NumericFailure(RuntimeError):
     """A covariance is not finite, or its one Cholesky factorization failed."""
 
 
-def _check_positive(v, name: str = "length-scale") -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if not ((v > 0) & np.isfinite(v)).all():  # also false for NaN
-        raise ValueError(f"{name} must be positive and finite")
-    return v
-
-
 def matern32(r, lengthscale):
     """Unit-amplitude Matérn 3/2 correlation, k(r) = (1 + √3 r/l) e^(−√3 r/l)."""
-    l = _check_positive(lengthscale)
+    l = _check_positive(lengthscale, "length-scale")
     z = SQRT3 * np.asarray(r, dtype=float) / l
     return _matern32(z, np.exp(-z))
 
@@ -127,7 +122,7 @@ def _matern32(z, e):
 
 def matern32_dl(r, lengthscale):
     """d matern32 / d lengthscale = 3 r² / l³ · e^(−√3 r/l)."""
-    l = _check_positive(lengthscale)
+    l = _check_positive(lengthscale, "length-scale")
     r = np.asarray(r, dtype=float)
     return 3.0 * r**2 / l**3 * np.exp(-SQRT3 * r / l)
 
@@ -164,8 +159,8 @@ def cross_matern32(r, l_i, l_j):
     relative of each other use the limit form at the smaller of the two
     (argument-order symmetric, exact on the task diagonal).
     """
-    li = _check_positive(l_i)
-    lj = _check_positive(l_j)
+    li = _check_positive(l_i, "length-scale")
+    lj = _check_positive(l_j, "length-scale")
     r = np.asarray(r, dtype=float)
     li, lj, r = np.broadcast_arrays(li, lj, r)
     near, amp, *_ = _cross_pair(li, lj)
@@ -184,8 +179,8 @@ def cross_matern32_dli(r, l_i, l_j):
     half to each when they coincide bitwise (the task diagonal, where
     row and column contributions add back to the full derivative).
     """
-    li = _check_positive(l_i)
-    lj = _check_positive(l_j)
+    li = _check_positive(l_i, "length-scale")
+    lj = _check_positive(l_j, "length-scale")
     r = np.asarray(r, dtype=float)
     li, lj, r = np.broadcast_arrays(li, lj, r)
     near, amp, coef, weight3, lmin3 = _cross_pair(li, lj)
@@ -309,7 +304,7 @@ def cross_cov_table(r, rows, task_cov_matrix, lengthscales, out, dl_out=None):
     matrix itself.
     """
     rows = np.asarray(rows)
-    ls = _check_positive(lengthscales)
+    ls = _check_positive(lengthscales, "length-scale")
     kc = None if task_cov_matrix is None else task_cov_matrix[rows][:, :, None, None]
     if (ls == ls[0]).all():
         z = SQRT3 * r
@@ -406,7 +401,7 @@ def pack_theta(L: np.ndarray, lengthscales, noise_vars, mode: KernelMode) -> np.
     if not np.isfinite(tri).all():  # the diagonal is checked above
         raise ValueError("factor strictly-lower entries must be finite")
     tri[diag] = np.log(tri[diag])
-    ls = _check_positive(np.atleast_1d(lengthscales))
+    ls = _check_positive(np.atleast_1d(lengthscales), "length-scale")
     nv = _check_positive(np.atleast_1d(noise_vars), "noise variances")
     n_ls = mode.n_lengthscales(n)
     if ls.shape != (n_ls,):
@@ -467,11 +462,14 @@ def _spatial_block(r, tasks_row, tasks_col, lengthscales, mode: KernelMode):
     return cross_matern32(r, li, lj)
 
 
-def _validate_tasks(tasks, n: int) -> np.ndarray:
-    tasks = np.asarray(tasks, dtype=np.intp)
-    if tasks.size and (tasks.min() < 0 or tasks.max() >= n):
-        raise ValueError(f"task index out of range for {n} tasks")
-    return tasks
+def _task_rows(tasks, n: int) -> np.ndarray:
+    """``tasks`` as intp, or ValueError unless each is an integer id of the n tasks."""
+    ids = np.asarray(tasks)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError(f"task ids must be a sequence of integers, got {ids!r}")
+    if np.any((ids < 0) | (ids >= n)):
+        raise ValueError(f"unknown task id in queries (model has {n} tasks)")
+    return ids.astype(np.intp)
 
 
 def assemble_training_cov(
@@ -489,7 +487,7 @@ def assemble_training_cov(
     CONVOLVED mode; σ²_task(p) is added on the diagonal only.
     """
     n = task_cov_matrix.shape[0]
-    tasks = _validate_tasks(tasks, n)
+    tasks = _task_rows(tasks, n)
     xy = np.asarray(xy, dtype=float)
     if xy.shape != (tasks.size, 2):
         raise ValueError(f"xy must be ({tasks.size}, 2), got {xy.shape}")
@@ -508,14 +506,17 @@ def chol_with_jitter(K: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, fl
     """Lower Cholesky factor of K + jitter·I, in one attempt.
 
     Returns (L, jitter). Raises :class:`NumericFailure` when K + jitter·I
-    is not finite or not positive definite. K is left untouched: one
-    Fortran-ordered copy of K with the jitter added to its diagonal is
-    factored in place, which is bitwise ``K + jitter * np.eye(M)`` without
-    that sum's three M×M temporaries.
+    is not finite (a NaN or inf jitter included) or not positive
+    definite. K is left untouched: the jitter is added to the diagonal of
+    one Fortran-ordered copy of K, which :func:`_chol_in_place` factors;
+    that is bitwise ``K + jitter * np.eye(M)`` without the sum's three
+    M×M temporaries.
     """
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"covariance must be square, got shape {K.shape}")
-    return _chol_in_place(np.array(K, order="F"), jitter), jitter
+    F = np.array(K, order="F")
+    F.T.reshape(-1)[:: len(F) + 1] += jitter  # the diagonal
+    return _chol_in_place(F), jitter
 
 
 # Byte budget for the finiteness flags of one column slice in
@@ -524,14 +525,12 @@ def chol_with_jitter(K: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, fl
 _CHECK_BYTES = 1 << 20
 
 
-def _chol_in_place(K, jitter=0.0):
-    """The lower Cholesky factor of the Fortran-ordered K plus ``jitter``
-    on its diagonal, factored once in K's own memory. Finiteness is
-    checked, after the jitter is added, over contiguous column slices of
-    K, with about ``_CHECK_BYTES`` of flags at a time, so K is the one N×N
-    array held."""
-    if jitter != 0.0:
-        K.T.reshape(-1)[:: len(K) + 1] += jitter  # the diagonal
+def _chol_in_place(K):
+    """The lower Cholesky factor of the Fortran-ordered K, factored once in
+    K's own memory. It is the library's one Cholesky: each caller adds its
+    own diagonal (noise or jitter) to K first. Finiteness is checked over
+    contiguous column slices of K, with about ``_CHECK_BYTES`` of flags at
+    a time, so K is the one N×N array held."""
     step = max(1, _CHECK_BYTES // max(len(K), 1))  # columns per slice
     for s in range(0, len(K), step):
         if not np.isfinite(K[:, s : s + step]).all():
@@ -545,11 +544,11 @@ def _chol_in_place(K, jitter=0.0):
     return Lf
 
 
-def _joint_chol(layout, task_cov_matrix, lengthscales, diag, jitter=0.0):
+def _joint_chol(layout, task_cov_matrix, lengthscales, diag):
     """The lower Cholesky factor of the layout's joint covariance plus
-    ``diag`` and ``jitter`` on its diagonal, in one M×M array: K is bitwise
-    symmetric, so its transpose view is the Fortran-ordered K that LAPACK
-    factors in place."""
+    ``diag`` on its diagonal (a fitted model's per-row noise, or the
+    draw's jitter), in one M×M array: K is bitwise symmetric, so its
+    transpose view is the Fortran-ordered K that LAPACK factors in place."""
     (K,) = _joint_cov(layout, layout.blocks(), task_cov_matrix, lengthscales)
     K.reshape(-1)[:: len(K) + 1] += diag
-    return _chol_in_place(K.T, jitter)
+    return _chol_in_place(K.T)

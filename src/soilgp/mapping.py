@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, Rect, prefix
+from .data import Dataset, Rect, _check_positive, prefix
 from .gp import FitConfig, FittedModel, fit, fit_stgp, predict_tasks, task_correlations
 
 __all__ = [
@@ -52,10 +52,9 @@ class GridSpec:
 
     def __post_init__(self):
         b = self.bounds
-        if not np.all(np.isfinite([b.xmin, b.ymin, b.xmax, b.ymax, self.resolution])):
-            raise ValueError(f"grid bounds {b} and resolution must be finite")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not np.all(np.isfinite([b.xmin, b.ymin, b.xmax, b.ymax])):
+            raise ValueError(f"grid bounds {b} must be finite")
+        _check_positive(self.resolution, "resolution")
         if not np.isfinite([b.width / self.resolution, b.height / self.resolution]).all():
             raise ValueError(f"cell count at resolution {self.resolution} is not finite")
         if self.n_cells > MAX_GRID_CELLS:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .data import Location
+from .data import Location, _check_positive
 
 __all__ = [
     "MAX_DRILL_DEPTH_MM",
@@ -39,14 +39,12 @@ class DrillSpec:
     diameter: float
 
     def __post_init__(self):
-        if not (self.bulk_density > 0 and math.isfinite(self.bulk_density)):
-            raise ValueError("bulk density must be positive")
+        _check_positive(self.bulk_density, "bulk density")
         if not (0 <= self.depth <= MAX_DRILL_DEPTH_MM):
             raise ValueError(
                 f"depth must be in [0, {MAX_DRILL_DEPTH_MM}] mm, got {self.depth}"
             )
-        if not (self.diameter > 0 and math.isfinite(self.diameter)):
-            raise ValueError("auger diameter must be positive")
+        _check_positive(self.diameter, "auger diameter")
 
 
 def sample_mass(spec: DrillSpec) -> float:
@@ -190,8 +188,7 @@ def grid_plan(boundary: FieldBoundary, spacing: float) -> tuple[Location, ...]:
     rows are ordered south to north and traversed serpentine to shorten
     travel between consecutive samples.
     """
-    if not (spacing > 0 and math.isfinite(spacing)):
-        raise ValueError("spacing must be positive and finite")
+    _check_positive(spacing, "spacing")
     xmin, ymin, xmax, ymax = boundary.bounding_box()
     steps = ((xmax - xmin) / spacing, (ymax - ymin) / spacing)
     if not all(map(math.isfinite, steps)):

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Location, Observation, _sample_ids, check_labels, make_dataset
-from .gp import HyperParams, _check_seed, _positive_finite, theta_from_moments
-from .kernels import KernelMode, _joint_chol, _Layout
+from .data import (
+    Dataset, Location, Observation, _check_positive, _sample_ids, check_labels, make_dataset,
+)
+from .gp import HyperParams, _check_seed, theta_from_moments
+from .kernels import KernelMode, NumericFailure, _joint_chol, _Layout
 from .mapping import GroundTruth
 
 __all__ = [
@@ -71,8 +73,7 @@ class SyntheticField:
         if len(self.lengthscales) != n_ls:
             raise ValueError(f"expected {n_ls} length-scale(s)")
         for name in ("width", "height", "variances", "noise_vars"):
-            for v in np.atleast_1d(getattr(self, name)).tolist():
-                _positive_finite(name, v)
+            _check_positive(getattr(self, name), name)
         w, h = float(self.width), float(self.height)
         if not math.isfinite(w * w + h * h):  # what kernels._cdist refuses, before a draw
             raise ValueError(f"width {w!r} and height {h!r}: distances across the "
@@ -100,7 +101,7 @@ def prior_theta(cfg: SyntheticField) -> HyperParams:
             cfg.variances, correlation_matrix(cfg), cfg.lengthscales, cfg.noise_vars,
             cfg.mode,
         )
-    except np.linalg.LinAlgError:  # each pair valid, the matrix not positive definite
+    except NumericFailure:  # each pair valid, the matrix not positive definite
         raise ValueError(f"correlations {cfg.correlations} are not jointly valid") from None
 
 
@@ -150,8 +151,9 @@ def draw_field(
     tasks is refused with ValueError before anything that size is built.
     The joint covariance is assembled in row blocks of the kernel table
     and factored in place, as every fitted model's is
-    (:func:`kernels._joint_chol`), with a jitter of 1e-10 on its noiseless
-    diagonal: the draw holds one N×N array.
+    (:func:`kernels._joint_chol`), with ``_DRAW_JITTER`` = 1e-10 as the
+    diagonal it adds where a model adds its noise: the draw holds one N×N
+    array.
     A negative ``seed`` is refused with ValueError, as a fit's is.
     """
     rng = np.random.default_rng(_check_seed(seed))
@@ -185,7 +187,7 @@ def draw_field(
         )
 
     layout = _Layout(all_tasks, all_xy, n)
-    Lf = _joint_chol(layout, L_task @ L_task.T, ls, 0.0, _DRAW_JITTER)
+    Lf = _joint_chol(layout, L_task @ L_task.T, ls, _DRAW_JITTER)
     latent = Lf @ rng.standard_normal(len(all_tasks))
 
     noise_std = np.sqrt(np.asarray(cfg.noise_vars))

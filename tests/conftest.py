@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist
 
 from soilgp.data import Location, Observation, make_dataset
 from soilgp.gp import HyperParams
-from soilgp.kernels import KernelMode, _spatial_block, _validate_tasks, theta_dim
+from soilgp.kernels import KernelMode, _spatial_block, _task_rows, theta_dim
 
 SQRT3 = math.sqrt(3.0)
 
@@ -69,8 +69,8 @@ def assemble_cross_cov(
 ) -> np.ndarray:
     """Q×M covariance between query points and observations (no noise)."""
     n = task_cov_matrix.shape[0]
-    q_tasks = _validate_tasks(query_tasks, n)
-    tasks = _validate_tasks(tasks, n)
+    q_tasks = _task_rows(query_tasks, n)
+    tasks = _task_rows(tasks, n)
     q_xy = np.asarray(query_xy, dtype=float)
     xy = np.asarray(xy, dtype=float)
     if q_xy.shape != (q_tasks.size, 2) or xy.shape != (tasks.size, 2):

@@ -34,6 +34,14 @@ class TestMass:
         assert code == EXIT_DATA
         assert "bulk density" in err
 
+    @pytest.mark.parametrize("flag", ["--rho", "--diameter"])
+    def test_infinite_dimension_named_with_its_value(self, capsys, flag):
+        argv = {"--rho": "1.3e-3", "--depth": "200", "--diameter": "19", flag: "inf"}
+        code, out, err = run(capsys, "mass", *(x for kv in argv.items() for x in kv))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "must be positive and finite, got inf" in err
+
     @pytest.mark.parametrize("rho, diameter", [("1e-3", "1e200"), ("1e308", "100")])
     def test_mass_beyond_float_range_is_data_error(self, capsys, rho, diameter):
         code, out, err = run(
@@ -126,6 +134,22 @@ def with_field(model, tmp_path, key, edit):
     out = tmp_path / "edited_model.txt"
     out.write_text("\n".join(lines) + "\n")
     return out
+
+
+class TestWriteErrors:
+    def test_missing_directory_names_the_file(self, capsys, tmp_path):
+        # mkstemp's error named its random temp file, so stderr changed
+        # from run to run
+        out = tmp_path / "nodir" / "o.csv"
+        errs = []
+        for _ in range(2):
+            code, _, err = run(capsys, "synth", "--out", str(out))
+            assert code == EXIT_DATA
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert f"cannot write {out} in {out.parent}" in errs[0]
+        assert "o.csv." not in errs[0]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNonFiniteInputs:

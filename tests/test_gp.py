@@ -54,9 +54,9 @@ def spy_objective_factor(monkeypatch, record):
     the factorization overwrites it."""
     factor = gp_module._chol_in_place
 
-    def chol_spy(K, jitter=0.0):
+    def chol_spy(K):
         record(K)
-        return factor(K, jitter)
+        return factor(K)
 
     monkeypatch.setattr(gp_module, "_chol_in_place", chol_spy)
 
@@ -102,6 +102,28 @@ class TestLogMarginalLikelihood:
             with pytest.raises(ValueError, match="^variances must be positive and finite"):
                 theta_from_moments(variances, np.eye(2), [10.0, 10.0], [0.1, 0.1],
                                    KernelMode.CONVOLVED)
+
+    def test_theta_from_moments_refuses_nan_correlation(self):
+        # a data error before any factorization, not a numeric failure
+        corr = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="^correlations must be finite"):
+            theta_from_moments([1.0, 1.0], corr, [10.0, 10.0], [0.1, 0.1],
+                               KernelMode.CONVOLVED)
+
+    def test_theta_from_moments_indefinite_after_one_factorization(self, monkeypatch):
+        calls = []
+        factor = kernels._chol_in_place
+
+        def chol_spy(K):
+            calls.append(K.shape)
+            return factor(K)
+
+        monkeypatch.setattr(kernels, "_chol_in_place", chol_spy)
+        corr = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        with pytest.raises(gp_module.NumericFailure, match="not positive definite"):
+            theta_from_moments([1.0] * 3, corr, [10.0] * 3, [0.1] * 3,
+                               KernelMode.CONVOLVED)
+        assert calls == [(3, 3)]
 
     def test_dimension_mismatch(self, small_dataset):
         theta3 = theta_from_moments(
@@ -1113,9 +1135,10 @@ class TestSamplePrior:
         factored, tables = [], []
         factor = kernels._chol_in_place
 
-        def chol_spy(K, jitter=0.0):  # each matrix the draw factors, before its jitter
-            factored.append(K.copy())
-            return factor(K, jitter)
+        def chol_spy(K):  # the joint matrix the draw factors, not the n×n prior's
+            if len(K) > cfg.n_tasks:
+                factored.append(K.copy())
+            return factor(K)
 
         def table_spy(*args):
             tables.append(args[0].shape)
@@ -1131,8 +1154,8 @@ class TestSamplePrior:
         else:  # every block of distinct locations, and at least three of them
             assert len(tables) >= 3
             assert sum(r for r, _ in tables) == tables[0][1]
-        (drawn_K,) = factored
-        assert np.array_equal(drawn_K, K)
+        (drawn_K,) = factored  # its diagonal carries the draw's jitter
+        assert np.array_equal(drawn_K, K + 1e-10 * np.eye(len(K)))
         assert np.array_equal(drawn_K, drawn_K.T)
         assert np.array_equal(ds.values, y)
         if truth_values is None:

@@ -326,6 +326,14 @@ class TestAssembleTrainingCov:
                 np.ones(2), KernelMode.CONVOLVED,
             )
 
+    @pytest.mark.parametrize("tasks", [[0.7, 1.6], [True, False]], ids=["float", "bool"])
+    def test_non_integer_task_ids_refused(self, tasks):
+        # they were cast to intp: [0.7, 1.6] read as tasks 0 and 1, and
+        # [True, False] as 1 and 0
+        with pytest.raises(ValueError, match="task ids must be a sequence of integers"):
+            assemble_training_cov(tasks, np.zeros((2, 2)), np.eye(2), [5.0, 5.0],
+                                  np.ones(2), KernelMode.CONVOLVED)
+
 
 class TestTrainingKernel:
     """The dense objective's spatial matrix and its length-scale
