@@ -18,7 +18,7 @@ import numpy as np
 # cho_solve is no longer called here (the objective calls LAPACK's potrs
 # directly), but bench/tracing.py patches it in this module by name.
 from scipy.linalg import cho_solve, solve_triangular  # noqa: F401
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dgemv
 from scipy.linalg.lapack import dpotrs, dsyevd
 
 from .data import Dataset, NormStats, Observation, _check_positive, make_dataset, normalize
@@ -333,14 +333,23 @@ class _KroneckerProblem:
         return _pack_gradient(A, L, g_ls, g_noise, theta_vec)
 
 
-# One BLAS per fit. numpy and scipy each load their own OpenBLAS, each with
-# its own pool of worker threads, and L-BFGS-B runs on scipy's between
-# evaluations. So every LAPACK or BLAS call of the eigen-path with an
-# m-sized operand is scipy's too: _eigh, and the products through _dot.
-# With them on numpy's pool the two pools' threads competed for the cores.
-# On a 2 vCPU Xeon an evaluation inside a fit took a median 6.6 ms against
-# 0.28 ms with one pool at n = 4, M = 120, and 14.5 ms against 6.6 ms at
-# the benchmark's `large` (n = 4, M = 1000) (BENCH_9.json).
+# One BLAS per process. numpy and scipy each bundle their own OpenBLAS, each
+# with its own pool of worker threads, and a pool's workers keep spinning
+# for a while after a threaded call returns. A threaded call on the other
+# copy that starts in that time shares the cores with them. Every LAPACK
+# call is scipy's, and so is every product that OpenBLAS may thread: the
+# eigen-path's _eigh and _dot, the means K* α in predict_tasks and the
+# draw's L z in synthetic.draw_field (scipy's dgemv, in the call forms that
+# run numpy's kernel, so the same bits). On a 2 vCPU Xeon, with the
+# eigen-path on numpy's pool an evaluation inside a fit took a median
+# 6.6 ms against 0.28 ms at n = 4, M = 120, and 14.5 ms against 6.6 ms at
+# the benchmark's `large` (BENCH_9.json); with the draw's product on
+# numpy's, back-to-back `campaign` draws took a median 119-155 ms against
+# 80-109 ms after a 0.3 s pause (their dpotrf 68-89 against 38-47 ms), and
+# a 2-restart fit started right after a draw 40-62 ms against 24-30 ms.
+# The numpy products left are too small for OpenBLAS to thread: the n×n
+# task products (L Lᵀ, A L), y @ α (it threads a dot product only past
+# 10,000 entries) and the eigen-path's n-by-m vector products (G⁻¹s, λᵀG⁻¹).
 def _dot(a, b):
     """a @ b of 2-D arrays on scipy's dgemm. dgemm reads Fortran order: the
     product is formed as (bᵀaᵀ)ᵀ, each operand passed as its
@@ -606,8 +615,8 @@ def predict_tasks(
     :func:`kernels.cross_cov_table` evaluates the kernel for every task
     pair from one exponential per length-scale, and the model's layout
     gathers each observation's column of the rows' cross-covariance K*.
-    One gemv gives the means K* α and one triangular solve v = L⁻¹K*ᵀ the
-    variances Kc_ii − vᵀv.
+    One gemv on scipy's BLAS (see :func:`_dot`) gives the means K* α and
+    one triangular solve v = L⁻¹K*ᵀ the variances Kc_ii − vᵀv.
 
     Raises ValueError for a point that is not finite, or whose distance to
     a training location overflows: :func:`kernels._cdist` refuses it.
@@ -645,7 +654,9 @@ def predict_tasks(
         q = _aligned(k * b)
         np.take(table.reshape(k, -1), index[:b], axis=1,
                 out=Ks[: k * b].reshape(k, b, m), mode="clip")
-        mu = (Ks[:q] @ model.alpha)[: k * b].reshape(k, b)
+        # Ks[:q] @ α on scipy's BLAS: the transposed Fortran view is the
+        # same OpenBLAS kernel as numpy's product, so the same bits
+        mu = dgemv(1.0, Ks[:q].T, model.alpha, trans=1)[: k * b].reshape(k, b)
         v = solve_triangular(
             model.chol_factor, Ks[:q].T, lower=True, overwrite_b=True,
             check_finite=False,

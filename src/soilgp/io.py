@@ -111,6 +111,16 @@ def _parse_float(raw: str, row: int, column: str) -> float:
         raise ValueError(f"row {row}: column {column}: not a number: {raw!r}")
 
 
+def _parse_location(xs: str, ys: str, row: int) -> Location:
+    """The row's ``x_m`` and ``y_m`` as a Location, or ValueError naming
+    the row unless both are finite numbers."""
+    x, y = _parse_float(xs, row, "x_m"), _parse_float(ys, row, "y_m")
+    try:
+        return Location(x, y)
+    except ValueError as e:
+        raise ValueError(f"row {row}: {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # Observations
 # ---------------------------------------------------------------------------
@@ -136,16 +146,13 @@ def parse_observations(path) -> Dataset:
                 )
             seen_ids.add(sid)
             current_id = sid
-        x = _parse_float(xs, row_num, "x_m")
-        y = _parse_float(ys, row_num, "y_m")
+        location = _parse_location(xs, ys, row_num)
         value = _parse_float(vs, row_num, "value")
         try:
             if label not in labels:
                 check_labels(labels + [label])
                 labels.append(label)
-            observations.append(
-                Observation(sid, Location(x, y), labels.index(label), value)
-            )
+            observations.append(Observation(sid, location, labels.index(label), value))
         except ValueError as e:
             raise ValueError(f"row {row_num}: {e}")
     if not observations:
@@ -439,8 +446,9 @@ def parse_queries(path, labels) -> tuple[np.ndarray, np.ndarray]:
     for row_num, (label, xs, ys) in _read_rows(path, "task,x_m,y_m"):
         if label not in label_to_idx:
             raise ValueError(f"row {row_num}: unknown task label {label!r}")
+        p = _parse_location(xs, ys, row_num)
         tasks.append(label_to_idx[label])
-        xy.append((_parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m")))
+        xy.append((p.x, p.y))
     if not tasks:
         raise ValueError("no queries in file")
     return np.array(tasks, dtype=np.intp), np.array(xy)
@@ -466,11 +474,11 @@ def parse_truth(path, labels) -> GroundTruth:
     for row_num, (label, xs, ys, vs) in _read_rows(path, TRUTH_HEADER):
         if label not in label_to_idx:
             raise ValueError(f"row {row_num}: unknown task label {label!r}")
-        x, y = _parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m")
+        p = _parse_location(xs, ys, row_num)
         v = _parse_float(vs, row_num, "value")
         if not np.isfinite(v):
             raise ValueError(f"row {row_num}: non-finite value {vs!r}")
-        per_task[label_to_idx[label]].append((x, y, v))
+        per_task[label_to_idx[label]].append((p.x, p.y, v))
     missing = [lab for lab, rows in zip(labels, per_task) if not rows]
     if missing:
         raise ValueError(f"truth grid missing tasks: {missing}")
@@ -495,10 +503,8 @@ def write_plan(path, points):
 
 
 def parse_plan(path) -> list[Location]:
-    points = [
-        Location(_parse_float(xs, row_num, "x_m"), _parse_float(ys, row_num, "y_m"))
-        for row_num, (_, xs, ys) in _read_rows(path, PLAN_HEADER)
-    ]
+    points = [_parse_location(xs, ys, row_num)
+              for row_num, (_, xs, ys) in _read_rows(path, PLAN_HEADER)]
     if not points:
         raise ValueError("empty plan")
     return points

@@ -467,8 +467,10 @@ def _task_rows(tasks, n: int) -> np.ndarray:
     ids = np.asarray(tasks)
     if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
         raise ValueError(f"task ids must be a sequence of integers, got {ids!r}")
-    if np.any((ids < 0) | (ids >= n)):
-        raise ValueError(f"unknown task id in queries (model has {n} tasks)")
+    unknown = (ids < 0) | (ids >= n)
+    if np.any(unknown):
+        raise ValueError(f"unknown task ids {np.unique(ids[unknown]).tolist()}: "
+                         f"there are {n} tasks, ids 0 to {n - 1}")
     return ids.astype(np.intp)
 
 

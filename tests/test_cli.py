@@ -180,6 +180,26 @@ class TestNonFiniteInputs:
         assert code == EXIT_DATA
         assert "finite" in err
 
+    def test_query_coordinate_names_its_row(self, capsys, tmp_path, fitted):
+        obs, model = fitted
+        q = tmp_path / "q.csv"
+        q.write_text("task,x_m,y_m\npH,0,0\npH,inf,3\n")
+        code, _, err = run(capsys, "predict", "--model", str(model), "--obs", str(obs),
+                           "--queries", str(q), "--out", str(tmp_path / "p.csv"))
+        assert code == EXIT_DATA
+        assert "row 3: non-finite coordinates (inf, 3.0)" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_truth_coordinate_names_its_row(self, capsys, tmp_path, fitted):
+        obs, _ = fitted
+        truth = tmp_path / "truth.csv"
+        truth.write_text("task,x_m,y_m,value\n" + "".join(
+            f"{lab},nan,5,1.0\n" for lab in ("pH", "N", "P", "K")))
+        code, _, err = run(capsys, "eval-sequential", "--obs", str(obs),
+                           "--truth", str(truth), "--out", str(tmp_path / "c.csv"))
+        assert code == EXIT_DATA
+        assert "row 2: non-finite coordinates (nan, 5.0)" in err
+
     def test_plan_boundary_vertex(self, capsys, tmp_path):
         bound = tmp_path / "bound.csv"
         bound.write_text("ring,x_m,y_m\n0,0,0\n0,inf,0\n0,90,90\n0,0,90\n")

@@ -1,4 +1,5 @@
 import logging
+import re
 import warnings
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from soilgp.gp import (
     theta_from_moments,
 )
 from soilgp import gp as gp_module
-from soilgp import kernels
+from soilgp import kernels, synthetic
 from soilgp.kernels import (
     KernelMode,
     assemble_training_cov,
@@ -721,6 +722,12 @@ class TestPredict:
         with pytest.raises(ValueError, match="unknown task"):
             predict_arrays(model, [2], [(0.0, 0.0)])
 
+    def test_unknown_task_ids_named(self):
+        model, _ = self.model_on_prior_draw()
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown task ids [-1, 7]: there are 2 tasks, ids 0 to 1")):
+            predict_tasks(model, [7, 0, -1, 7], [(0.0, 0.0)])
+
     @pytest.mark.parametrize(("entry", "tasks"), [
         ("predict_tasks", (1.5,)),
         ("predict_tasks", np.array([1.0])),
@@ -907,6 +914,16 @@ class TestPredictionCore:
         model = PREDICTION_MODELS[name]()
         grid = GridSpec(Rect(-5, 0, 65, 40), 3.0)  # 23 x 13 = 299 cells
         monkeypatch.setattr(gp_module, "_BLOCK_BYTES", 50_000)
+        # The means' product runs on scipy's BLAS, one per block (see
+        # TestSamplePrior.test_product_runs_on_scipys_blas). It is the
+        # kernel numpy's K* @ α runs, so the comparison below stays bitwise.
+        products, real = [], gp_module.dgemv
+
+        def dgemv(*args, **kwargs):
+            products.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module, "dgemv", dgemv)
         cdist_calls.clear()  # the conditioning's own
         got = predict_tasks(model, range(model.n_tasks), grid.cell_centers,
                             denormalize=True, include_noise=True)
@@ -915,6 +932,7 @@ class TestPredictionCore:
         block = cdist_calls[0][0]
         assert len(cdist_calls) >= 3 and grid.n_cells % block != 0
         assert all(b == n_locations for _, b in cdist_calls)  # one per block
+        assert len(products) == len(cdist_calls)
 
         n, p = model.n_tasks, grid.n_cells
         tasks = np.repeat(np.arange(n), p)
@@ -1162,6 +1180,29 @@ class TestSamplePrior:
             assert truth is None
         else:
             assert np.array_equal(truth.values, truth_values)
+
+    def test_product_runs_on_scipys_blas(self, monkeypatch):
+        # numpy and scipy each bundle their own OpenBLAS with its own worker
+        # threads. A threaded product on numpy's leaves its worker busy
+        # while the next threaded scipy call starts, and the two share the
+        # cores: back-to-back draws took ~1.6x a draw after a pause (2 vCPU
+        # Xeon). The bits agree either way, so only this test catches the
+        # product's return to numpy.
+        products, real = [], synthetic.dgemv
+
+        def dgemv(*args, **kwargs):
+            out = real(*args, **kwargs)
+            products.append((args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(synthetic, "dgemv", dgemv)
+        cfg = SyntheticField(n_samples=20, width=100.0, height=80.0)
+        truth_xy = np.random.default_rng(3).uniform(0, 80, (180, 2))
+        draw_field(cfg, 5, truth_xy=truth_xy)
+        ((args, kwargs, latent),) = products  # one product, Lf z, on the N×N factor
+        alpha, Lf, z = args
+        assert alpha == 1.0 and not kwargs and Lf.shape == (800, 800)
+        assert np.array_equal(latent, Lf @ z)  # numpy's product of the same operands
 
     def test_memory_holds_covariance_and_factor_only(self):
         # 20 samples + 180 truth points, 4 tasks: N = 800. The dense

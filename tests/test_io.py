@@ -362,6 +362,15 @@ class TestTruthAndQueries:
         with pytest.raises(ValueError, match="row 3: non-finite value"):
             parse_truth(p, ("a", "b"))
 
+    def test_truth_nan_point_shared_by_every_task(self, tmp_path):
+        # NaN != NaN: checked later, the point sets would compare unequal
+        # and the error would read "truth tasks do not share one point set"
+        p = tmp_path / "truth.csv"
+        p.write_text("task,x_m,y_m,value\na,nan,0,1\nb,nan,0,2\n")
+        with pytest.raises(ValueError,
+                           match=re.escape("row 2: non-finite coordinates (nan, 0.0)")):
+            parse_truth(p, ("a", "b"))
+
     def test_truth_missing_task(self, tmp_path):
         p = tmp_path / "truth.csv"
         p.write_text("task,x_m,y_m,value\na,0,0,1\n")
@@ -591,6 +600,22 @@ class TestOneReader:
             p.write_text(text)
             with pytest.raises(ValueError, match=empty_error):
                 reader(p)
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+@pytest.mark.parametrize("column", [1, 2], ids=["x", "y"])
+@pytest.mark.parametrize("reader, header, rows, empty_error", READERS[:4],
+                         ids=READER_IDS[:4])
+def test_non_finite_coordinate_names_its_row(
+        tmp_path, reader, header, rows, empty_error, column, bad):
+    # every point file goes through Location as it reads the row, so a
+    # later check never sees the point and the error names the row
+    fields = rows[1].split(",")
+    fields[column] = bad
+    p = tmp_path / "f.csv"
+    p.write_text("\n".join([header, rows[0], ",".join(fields)]) + "\n")
+    with pytest.raises(ValueError, match=rf"row 3: non-finite coordinates \(.*{bad}"):
+        reader(p)
 
 
 class TestStreamingWrite:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -332,6 +333,13 @@ class TestAssembleTrainingCov:
         # [True, False] as 1 and 0
         with pytest.raises(ValueError, match="task ids must be a sequence of integers"):
             assemble_training_cov(tasks, np.zeros((2, 2)), np.eye(2), [5.0, 5.0],
+                                  np.ones(2), KernelMode.CONVOLVED)
+
+    def test_unknown_task_ids_named(self):
+        # training rows have no query and no model, so the message names neither
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown task ids [5]: there are 2 tasks, ids 0 to 1")):
+            assemble_training_cov([0, 5], np.zeros((2, 2)), np.eye(2), [5.0, 5.0],
                                   np.ones(2), KernelMode.CONVOLVED)
 
 
