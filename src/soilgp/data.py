@@ -70,9 +70,9 @@ MAX_TASK_LABELS = 16
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 
 
-def check_labels(labels) -> None:
-    """ValueError unless every label matches the label rule, there are at
-    most ``MAX_TASK_LABELS`` of them and no two are equal."""
+def check_labels(labels):
+    """``labels``, or ValueError unless every label matches the label rule,
+    there are at most ``MAX_TASK_LABELS`` of them and no two are equal."""
     for label in labels:
         if not _LABEL_RE.match(label):
             raise ValueError(f"invalid task label {label!r}")
@@ -80,6 +80,7 @@ def check_labels(labels) -> None:
         raise ValueError(f"more than {MAX_TASK_LABELS} task labels")
     if len(set(labels)) != len(labels):
         raise ValueError("task labels must be unique")
+    return labels
 
 
 def _check_positive(v, name: str) -> np.ndarray:

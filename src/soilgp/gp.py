@@ -12,6 +12,7 @@ can be returned in normalized or original units.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,16 +102,26 @@ class FitConfig:
     mode: KernelMode = KernelMode.CONVOLVED
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1:
+        if min(_check_integer(self.restarts, "restarts"),
+               _check_integer(self.max_iters, "max_iters")) < 1:
             raise ValueError("restarts and max_iters must be positive")
         _check_positive(self.tol, "tol")
         _check_seed(self.seed)
 
 
+def _check_integer(v, name: str) -> int:
+    """``v`` as an int, or ValueError naming ``name`` unless it is an integer
+    (numpy's too): the type rule of every count and seed."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {v!r}") from None
+
+
 def _check_seed(seed):
     """``seed``, or ValueError unless it is a non-negative integer: the
     rule of every seed a fit or a synthetic draw takes."""
-    if seed < 0:
+    if _check_integer(seed, "seed") < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 
@@ -729,6 +740,10 @@ def theta_from_moments(
         raise ValueError(f"correlation matrix must be {n}x{n}")
     if not np.isfinite(corr).all():
         raise ValueError(f"correlations must be finite, got {corr.tolist()}")
+    if not (corr == corr.T).all():
+        raise ValueError(f"correlation matrix must be symmetric, got {corr.tolist()}")
+    if not (np.diag(corr) == 1).all():
+        raise ValueError(f"correlation matrix must have a unit diagonal, got {corr.tolist()}")
     d = np.sqrt(var)
     L, _ = chol_with_jitter(corr * np.outer(d, d), 1e-12)
     packed = pack_theta(L, lengthscales, noise_vars, mode)

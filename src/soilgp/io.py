@@ -296,7 +296,7 @@ def read_model(path) -> ModelRecord:
     n_tasks = field("n_tasks", int)
     mode = field("mode", KernelMode.parse)
     record = ModelRecord(
-        labels=tuple(field("labels").split(",")),
+        labels=field("labels", lambda raw: check_labels(tuple(raw.split(",")))),
         theta=field("theta", theta),
         norm_means=field("norm_means", floats),
         norm_stds=field("norm_stds", floats),

@@ -109,47 +109,29 @@ def _validate_simple_polygon(poly, what: str):
         raise ValueError(f"{what} is degenerate (zero area)")
     n = len(poly)
     for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share a vertex
+        for j in range(i + 2, n - (i == 0)):  # the edges that share no vertex with edge i
             a, b = poly[i], poly[(i + 1) % n]
             c, d = poly[j], poly[(j + 1) % n]
             if _segments_properly_intersect(a, b, c, d):
                 raise ValueError(f"{what} is self-intersecting")
 
 
-def _on_edge(poly, x: float, y: float) -> bool:
-    tol = 1e-9  # meters from an edge that still count as on it
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        dx, dy = x2 - x1, y2 - y1
-        seg2 = dx * dx + dy * dy
-        if seg2 == 0:
-            continue
-        t = ((x - x1) * dx + (y - y1) * dy) / seg2
-        if -tol <= t <= 1 + tol:
-            px, py = x1 + t * dx, y1 + t * dy
-            if math.hypot(x - px, y - py) <= tol:
-                return True
-    return False
-
-
 def _point_in_polygon(poly, x: float, y: float) -> bool:
     """Even-odd rule; a point on an edge counts as inside, decided
     explicitly so boundary and exclusion semantics stay exact."""
-    if _on_edge(poly, x, y):
-        return True
+    tol = 1e-9  # meters from an edge that still count as on it
     inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < x_cross:
-                inside = not inside
+    for i in range(len(poly)):
+        (x1, y1), (x2, y2) = poly[i - 1], poly[i]
+        dx, dy = x2 - x1, y2 - y1
+        seg2 = dx * dx + dy * dy
+        if seg2 == 0:
+            continue  # a repeated vertex: no edge, and no crossing
+        t = ((x - x1) * dx + (y - y1) * dy) / seg2
+        if -tol <= t <= 1 + tol and math.hypot(x - (x1 + t * dx), y - (y1 + t * dy)) <= tol:
+            return True
+        if (y1 > y) != (y2 > y) and x < x1 + (y - y1) * dx / dy:
+            inside = not inside
     return inside
 
 

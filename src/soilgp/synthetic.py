@@ -17,7 +17,7 @@ from scipy.linalg.blas import dgemv
 from .data import (
     Dataset, Location, Observation, _check_positive, _sample_ids, check_labels, make_dataset,
 )
-from .gp import HyperParams, _check_seed, theta_from_moments
+from .gp import HyperParams, _check_integer, _check_seed, theta_from_moments
 from .kernels import KernelMode, NumericFailure, _joint_chol, _Layout
 from .mapping import GroundTruth
 
@@ -79,7 +79,7 @@ class SyntheticField:
         if not math.isfinite(w * w + h * h):  # what kernels._cdist refuses, before a draw
             raise ValueError(f"width {w!r} and height {h!r}: distances across the "
                              "field overflow")
-        if self.n_samples < 1:
+        if _check_integer(self.n_samples, "n_samples") < 1:
             raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
         pairs = [{i, j} for i, j, _ in self.correlations]
         for i, j, r in self.correlations:

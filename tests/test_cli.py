@@ -334,6 +334,8 @@ class TestModelFileFields:
         ("norm_stds", lambda v: v[:-1] + ["1,5"]),
         ("noise_floor", lambda v: ["tiny"]),
         ("lml", lambda v: ["high"]),
+        ("labels", lambda v: ["pH,pH,P,K"]),
+        ("labels", lambda v: ["p H,N,P,K"]),
     ])
     def test_unparsable_field_is_named(self, capsys, tmp_path, fitted, key, edit):
         _, model = fitted

@@ -111,6 +111,16 @@ class TestLogMarginalLikelihood:
             theta_from_moments([1.0, 1.0], corr, [10.0, 10.0], [0.1, 0.1],
                                KernelMode.CONVOLVED)
 
+    @pytest.mark.parametrize("corr, message", [
+        ([[1.0, 0.5], [-0.9, 1.0]], "must be symmetric"),
+        ([[2.0, 0.0], [0.0, 1.0]], "must have a unit diagonal"),
+    ], ids=["asymmetric", "diagonal"])
+    def test_theta_from_moments_refuses_non_correlation_matrix(self, corr, message):
+        # LAPACK read the lower triangle: r = -0.9, or task 1's variance doubled
+        with pytest.raises(ValueError, match=f"^correlation matrix {message}, got"):
+            theta_from_moments([1.0, 1.0], np.array(corr), [10.0, 10.0], [0.1, 0.1],
+                               KernelMode.CONVOLVED)
+
     def test_theta_from_moments_indefinite_after_one_factorization(self, monkeypatch):
         calls = []
         factor = kernels._chol_in_place
@@ -606,6 +616,14 @@ class TestFit:
         np.testing.assert_array_equal(a.theta.values, b.theta.values)
         assert a.lml == b.lml
 
+    @pytest.mark.parametrize("name", ["restarts", "max_iters", "seed"])
+    def test_counts_are_integers(self, name):
+        # 1.5 passed the range check and failed later with TypeError, or
+        # reached L-BFGS-B as max_iters
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5$"):
+            FitConfig(**{name: 1.5})
+        assert getattr(FitConfig(**{name: np.int64(3)}), name) == 3
+
     def test_reported_lml_is_max_over_restarts(self, small_dataset):
         model = fit(small_dataset, FitConfig(restarts=5, seed=3, max_iters=60))
         assert len(model.restart_lmls) == 5
@@ -1065,6 +1083,15 @@ class TestSamplePrior:
         # that parse_observations refuses
         with pytest.raises(ValueError, match=message):
             SyntheticField(labels=labels, n_samples=4)
+
+    def test_n_samples_is_an_integer(self):
+        with pytest.raises(ValueError, match="^n_samples must be an integer, got 2.5$"):
+            SyntheticField(n_samples=2.5)
+        assert SyntheticField(n_samples=np.int64(4)).n_samples == 4
+
+    def test_seed_is_an_integer(self):
+        with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+            draw_field(SyntheticField(n_samples=4), 1.5)
 
     def test_extent_whose_distances_overflow_refused(self):
         with pytest.raises(ValueError, match="width 1e\\+200 and height 1.0"):

@@ -212,6 +212,20 @@ class TestModelFile:
         with pytest.raises(ValueError, match=message):
             read_model(path)
 
+    @pytest.mark.parametrize("labels, message", [
+        ("pH,pH,P,K", "task labels must be unique"),
+        ("p H,N,P,K", "invalid task label 'p H'"),
+    ], ids=["repeated", "space"])
+    def test_labels_follow_the_label_rule(self, tmp_path, labels, message):
+        ds, model = self.fitted()
+        path = tmp_path / "model.txt"
+        write_model(path, model, dataset_digest(ds))
+        text = path.read_text()
+        assert "\nlabels pH,N,P,K\n" in text
+        path.write_text(text.replace("\nlabels pH,N,P,K\n", f"\nlabels {labels}\n"))
+        with pytest.raises(ValueError, match=f"^model file field labels: {message}$"):
+            read_model(path)
+
     def test_theta_on_the_bound_read(self, tmp_path):
         ds, model = self.fitted()
         path = tmp_path / "model.txt"
